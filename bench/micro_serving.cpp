@@ -18,7 +18,8 @@
 // (NetConfig::HiddenUnits), so the forward pass costs what a trained
 // bundle's does while the whole bench stays deterministic and instant to
 // set up. Answers are byte-identical between the two architectures — the
-// speedup column is the only difference.
+// speedup column is the only difference. The bundle is written to a
+// private temporary directory that is removed on exit.
 //
 // --json <path> writes the rows in the stable brainy-bench-v1 schema
 // consumed by tools/check_bench_regression.py (BENCH_serving.json).
@@ -39,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,7 +167,21 @@ int main(int argc, char **argv) {
     }
   }
 
-  const std::string BundlePath = "micro_serving_core2.models";
+  std::string Dir =
+      (std::filesystem::temp_directory_path() / "brainy_micro_serving.XXXXXX")
+          .string();
+  if (!mkdtemp(Dir.data())) {
+    std::perror("micro_serving: mkdtemp");
+    return 1;
+  }
+  struct RemoveDir {
+    std::string Path;
+    ~RemoveDir() {
+      std::error_code Ec;
+      std::filesystem::remove_all(Path, Ec);
+    }
+  } Cleanup{Dir};
+  const std::string BundlePath = Dir + "/core2.models";
   NetConfig Net; // production width, so the forward pass is realistic
   if (Error E = writeSyntheticBundle(BundlePath, "core2", "bench",
                                      /*WinnerIndex=*/2, Net.HiddenUnits)) {

@@ -115,10 +115,12 @@ Brainy Brainy::train(const TrainOptions &Options,
                    E.message().c_str());
     std::fprintf(stderr,
                  "brainy: measurement cache: loaded %zu record(s), %" PRIu64
-                 " fresh measurement(s), saved %zu record(s) to %s\n",
+                 " fresh measurement(s), saved %zu record(s) to %s, %" PRIu64
+                 " speculative\n",
                  Framework.loadedMeasurements(),
                  Framework.measurements().freshMeasurements(), Saved,
-                 Options.MeasurementCacheFile.c_str());
+                 Options.MeasurementCacheFile.c_str(),
+                 Framework.measurements().speculativeMeasurements());
   }
   return Out;
 }

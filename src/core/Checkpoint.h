@@ -1,15 +1,15 @@
-//===- core/Checkpoint.h - Resumable Phase I wave checkpoints --*- C++ -*-===//
+//===- core/Checkpoint.h - Resumable Phase I checkpoints --------*- C++ -*-===//
 //
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistence for the Phase I wave loop (DESIGN.md §13): after each
-/// merged wave the loop's entire state — the per-family PhaseOneResults
-/// plus the next wave's seed offset — is written to a checkpoint file, so
-/// a coordinator killed mid-run resumes from the last wave boundary and
-/// still emits a byte-identical bundle. The win-count array is not
+/// Persistence for Phase I's ordered merge (DESIGN.md §13): every
+/// PhaseOneChunk * width merged seeds, and at the stop, the merge's entire
+/// state — the per-family PhaseOneResults plus the next seed offset — is
+/// written to a checkpoint file, so a run killed mid-way resumes from the
+/// last commit and still emits a byte-identical bundle. The win-count array is not
 /// stored: every recorded (seed, bestDS) pair incremented it exactly
 /// once, so it is rebuilt from the pairs on load.
 ///
@@ -26,12 +26,12 @@
 ///   skip <seed>                              seed-ascending
 ///   ...
 ///
-/// The fingerprint is FNV-1a-64 over everything a wave-loop decision
+/// The fingerprint is FNV-1a-64 over everything a merge decision
 /// depends on: the measurement fingerprint (generator config + machine),
 /// the Phase I knobs (FirstSeed, TargetPerDs, WinnerMargin, EvalRetries,
 /// ExcludeSeeds), and the model set being trained. MaxSeeds is
 /// deliberately excluded: the ordered merge consumes seeds sequentially,
-/// so a checkpoint taken at any wave boundary is valid for any seed
+/// so a checkpoint taken at any commit is valid for any seed
 /// budget — which is also what lets tests simulate a mid-run kill by
 /// capping MaxSeeds and resuming with the full budget.
 ///
@@ -55,16 +55,16 @@
 
 namespace brainy {
 
-/// The Phase I wave loop's resumable state: results so far, the offset
-/// (relative to TrainOptions::FirstSeed) of the first unmerged wave, and
-/// whether the loop had already stopped (every family full).
+/// Phase I's resumable state: results so far, the offset (relative to
+/// TrainOptions::FirstSeed) of the first unmerged seed, and whether the
+/// merge had already stopped (every family full).
 struct TrainCheckpoint {
   uint64_t NextOffset = 0;
   bool Stopped = false;
   std::array<PhaseOneResult, NumModelKinds> Results;
 };
 
-/// FNV-1a-64 over every knob a Phase I wave-loop decision depends on (see
+/// FNV-1a-64 over every knob a Phase I merge decision depends on (see
 /// file comment; MaxSeeds deliberately excluded). \p Models /
 /// \p CountUnmatchedSeeds identify the phaseOneImpl variant, so a
 /// phaseOneAll checkpoint cannot resume a single-family phaseOne run.

@@ -11,19 +11,30 @@
 /// of (seed, config, machine), so their cycle counts can be memoised once
 /// per TrainingFramework and shared across families, calls, and threads.
 ///
-/// Concurrency model (lock-free per chunk, merged at join): the cache
-/// itself takes no locks. Each worker chunk gets a private Shard that reads
-/// the shared map as a frozen snapshot and records fresh measurements
-/// locally; the coordinating thread folds shards back with merge() after
-/// the join. The contract is wave-shaped:
+/// Concurrency model (executors read a frozen map, the frontier commits):
+/// the cache itself takes no locks on the measurement path. A local Phase I
+/// run (DESIGN.md §7) has executors that each evaluate one seed at a time
+/// through a private Shard, and an ordered merge frontier that decides
+/// which of those measurements the serial loop would have made. The
+/// contract:
 ///
-///   1. coordinator creates one Shard per chunk (shared map quiescent),
-///   2. workers use only their own Shard (concurrent const reads of the
-///      shared map are safe),
-///   3. coordinator merges every Shard before creating the next wave's.
+///   1. shards are created and used while the shared map is frozen —
+///      nothing mutates it between the first shard() and the join, so the
+///      executors' concurrent const reads are race-free;
+///   2. an executor uses only its own Shard; what it measures stays in the
+///      shard's overlay and reaches the frontier as a CycleRecord
+///      (freshRecords());
+///   3. after the join, the coordinator applies the frontier's verdict
+///      with commit(): the kept records enter the map, the rest are
+///      counted as speculative and dropped.
 ///
-/// Because measurements are pure, two shards measuring the same key record
-/// identical values and merge order cannot change any result.
+/// The committed set is therefore exactly what the serial loop measures,
+/// whatever the executor count. freshMeasurements() still counts every
+/// simulation performed, speculative ones included. A distributed worker
+/// keeps the older per-chunk shape: evaluate a chunk into one Shard, then
+/// merge() it. Because measurements are pure, two shards measuring the
+/// same key record identical values and merge order cannot change any
+/// result.
 ///
 /// Remote-backed tier (distributed Phase I, DESIGN.md §10): a cache can be
 /// given a RemoteFetchFn. A Shard whose local overlay and shared map both
@@ -67,10 +78,10 @@ struct CycleRecord {
 /// surface as exceptions and fail the seed like any evaluation fault.
 using RemoteFetchFn = std::function<bool(uint64_t Seed, CycleRecord &Out)>;
 
-/// Per-(seed, DsKind) cycle memo. Coordinator-side mutation (merge) is
-/// serialised by WaveMutex; shard-side reads are lock-free and rely on the
-/// wave contract described in the file comment (the shared map is frozen
-/// while any shard is live).
+/// Per-(seed, DsKind) cycle memo. Coordinator-side mutation (merge,
+/// commit) is serialised by MapMutex; shard-side reads are lock-free and
+/// rely on the contract described in the file comment (the shared map is
+/// frozen while any shard is live).
 class MeasurementCache {
   struct Entry {
     std::array<double, NumDsKinds> Cycles{};
@@ -124,6 +135,15 @@ public:
       return Cycles;
     }
 
+    /// Whether every kind in \p Mask of \p Seed is known without
+    /// measuring (overlay or shared map).
+    bool cached(uint64_t Seed, unsigned Mask) const {
+      auto It = Fresh.find(Seed);
+      if (It != Fresh.end())
+        Mask &= ~It->second.MeasuredMask;
+      return (Mask & ~Parent->cachedMask(Seed)) == 0;
+    }
+
     /// The measurements this shard performed itself for seeds in
     /// [\p BeginSeed, \p EndSeed), in seed order, excluding entries that
     /// were fetched from the remote tier. This is what a distributed
@@ -173,8 +193,8 @@ public:
   /// only; no shard may be executing concurrently. Hash-order iteration is
   /// safe here: entries are combined with per-kind masks, so the merged
   /// map is identical for every visit order.
-  void merge(Shard &&S) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  void merge(Shard &&S) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     // brainy-lint: allow(unordered-iter): mask-union merge is commutative;
     // no result depends on the visit order of S.Fresh.
     for (auto &KV : S.Fresh) {
@@ -190,12 +210,23 @@ public:
     S.RemoteTried.clear();
   }
 
+  /// Applies the merge frontier's verdict after the executors joined:
+  /// \p Records are the measurements the serial loop needs (mask-union,
+  /// like merge()), \p Speculative counts the shard measurements the
+  /// frontier discarded. Fresh accounting already happened in the shards.
+  void commit(const std::vector<CycleRecord> &Records, uint64_t Speculative)
+      BRAINY_EXCLUDES(MapMutex) {
+    for (const CycleRecord &Rec : Records)
+      restoreRecord(Rec);
+    SpeculativeCount.fetch_add(Speculative, std::memory_order_relaxed);
+  }
+
   /// Folds one record streamed back from a distributed worker. Same
   /// mask-union rule as merge(): first write wins, duplicates are
   /// identical by purity. Newly-learned kind bits count as fresh
   /// measurements — they were computed this run, just remotely.
-  void mergeRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  void mergeRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     Entry &Dst = Map[Rec.Seed];
     unsigned New = Rec.Mask & ~Dst.MeasuredMask;
     for (unsigned I = 0; I != NumDsKinds; ++I)
@@ -207,9 +238,9 @@ public:
 
   /// mergeRecord without the fresh accounting — the load path for records
   /// restored from a persisted measurement cache (MeasurementStore), which
-  /// were computed by an earlier run.
-  void restoreRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  /// were computed by an earlier run, and commit()'s per-record fold.
+  void restoreRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     Entry &Dst = Map[Rec.Seed];
     unsigned New = Rec.Mask & ~Dst.MeasuredMask;
     for (unsigned I = 0; I != NumDsKinds; ++I)
@@ -220,8 +251,8 @@ public:
 
   /// Every cached record, sorted by seed — the persistence snapshot.
   /// Coordinator-side only (no shard may be live), like merge().
-  std::vector<CycleRecord> records() const BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  std::vector<CycleRecord> records() const BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     std::vector<CycleRecord> Out;
     Out.reserve(Map.size());
     // brainy-lint: allow(unordered-iter): the snapshot is sorted by seed
@@ -250,14 +281,21 @@ public:
     return FreshCount.load(std::memory_order_relaxed);
   }
 
+  /// The fresh measurements a local Phase I performed but did not commit:
+  /// seeds raced against a stale fullness snapshot, or past the stopping
+  /// seed. Always at most freshMeasurements().
+  uint64_t speculativeMeasurements() const {
+    return SpeculativeCount.load(std::memory_order_relaxed);
+  }
+
   /// Everything known about \p Seed, for serving a remote tier. Returns
   /// false when no kind of the seed is cached. Thread-safe: the
   /// coordinator answers worker lookups concurrently during a wave (the
   /// map is read-only between merges, but the lock keeps the contract
   /// simple and checkable).
   bool lookupAll(uint64_t Seed, CycleRecord &Out) const
-      BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+      BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     auto It = Map.find(Seed);
     if (It == Map.end() || !It->second.MeasuredMask)
       return false;
@@ -268,15 +306,15 @@ public:
   }
 
   /// Number of seeds with at least one cached measurement.
-  size_t seeds() const BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  size_t seeds() const BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     return Map.size();
   }
 
 private:
-  /// Shard-side read path. Deliberately unlocked: per the wave contract
-  /// the coordinator never mutates Map while a shard is live, so
-  /// concurrent const reads are race-free; taking WaveMutex here would put
+  /// Shard-side read path. Deliberately unlocked: per the frozen-map
+  /// contract the coordinator never mutates Map while a shard is live, so
+  /// concurrent const reads are race-free; taking MapMutex here would put
   /// a lock on the hot measurement path for no exclusion.
   bool lookup(uint64_t Seed, DsKind Kind,
               double &Cycles) const BRAINY_NO_THREAD_SAFETY_ANALYSIS {
@@ -290,16 +328,25 @@ private:
     return true;
   }
 
+  /// Kind bits of \p Seed in the shared map, for Shard::cached(). Unlocked
+  /// under the same frozen-map contract as lookup().
+  unsigned cachedMask(uint64_t Seed) const BRAINY_NO_THREAD_SAFETY_ANALYSIS {
+    auto It = Map.find(Seed);
+    return It == Map.end() ? 0 : It->second.MeasuredMask;
+  }
+
   /// Serialises coordinator-side mutation. Shard reads stay outside it by
   /// design (see lookup()).
-  mutable Mutex WaveMutex;
-  std::unordered_map<uint64_t, Entry> Map BRAINY_GUARDED_BY(WaveMutex);
+  mutable Mutex MapMutex;
+  std::unordered_map<uint64_t, Entry> Map BRAINY_GUARDED_BY(MapMutex);
   /// Optional remote tier; set at setup time, immutable afterwards.
   RemoteFetchFn Remote;
   /// Fresh-measurement tally (see freshMeasurements()). A relaxed atomic,
-  /// not WaveMutex state: shards bump it lock-free from worker threads and
+  /// not MapMutex state: shards bump it lock-free from worker threads and
   /// it feeds only diagnostics, never a training result.
   mutable std::atomic<uint64_t> FreshCount{0};
+  /// Speculative tally (see speculativeMeasurements()); diagnostics only.
+  std::atomic<uint64_t> SpeculativeCount{0};
 };
 
 } // namespace brainy

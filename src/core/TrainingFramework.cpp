@@ -4,16 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Phase I's parallel structure: seeds are evaluated in fixed-size chunks,
-// one wave of jobs() chunks at a time. Chunk evaluation touches only pure
-// inputs — the spec, the machine, and a private MeasurementCache shard — so
-// a seed's outcome never depends on scheduling. The win-count bookkeeping
-// (early stopping, margin rejects, SeedsScanned) is applied afterwards by a
-// single ordered merge walking the wave's seeds in order, which makes the
-// parallel run bit-identical to the serial one: the merge stops at exactly
-// the seed where the serial loop would have stopped. The only cost of
-// parallelism is that seeds past the stopping point inside the final wave
-// may have been measured needlessly.
+// Phase I's parallel structure. Evaluating a seed touches only pure inputs
+// — the spec, the machine, and a private MeasurementCache shard — so its
+// outcome never depends on scheduling. What does depend on order is the
+// win-count bookkeeping (early stopping, margin rejects, SeedsScanned): a
+// Ledger applies it one seed at a time, in seed order, and therefore stops
+// at exactly the seed where the serial loop stops.
+//
+// Locally, a SeedStream feeds the ledger. jobs() executors claim single
+// seeds in order from a shared cursor and race the families that are
+// still unfilled as of the latest merged prefix — a superset of what the
+// serial loop races there, since fullness is monotone. An ordered merge
+// frontier takes each finished seed as soon as every earlier seed is in,
+// and keeps only the measurements the serial loop would have made at that
+// seed; the rest are speculative and dropped. So what runs is
+// speculative, but what is kept is serial, at any executor count. With
+// one executor the frontier is always current and nothing is speculative.
+//
+// Distributed runs (Options.Distribution) keep lock-step waves of
+// width() * PhaseOneChunk seeds, with the same ledger replaying each wave.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +38,8 @@
 #include <cassert>
 #include <cstdio>
 #include <exception>
+#include <functional>
+#include <map>
 
 using namespace brainy;
 
@@ -92,6 +103,277 @@ RaceOutcome raceWith(const std::vector<DsKind> &Candidates,
     Out.Margin = (Second - BestCycles) / BestCycles;
   return Out;
 }
+
+/// Kind bits every family in \p Wanted races on the app \p Spec: the
+/// measurements evalSeed makes for that seed under that Wanted set.
+unsigned racedKinds(const AppSpec &Spec,
+                    const std::array<bool, NumModelKinds> &Wanted) {
+  unsigned Mask = 0;
+  for (unsigned M = 0; M != NumModelKinds; ++M) {
+    auto Model = static_cast<ModelKind>(M);
+    if (!Wanted[M] || !specMatches(Spec, Model))
+      continue;
+    for (DsKind Kind :
+         replacementCandidates(modelOriginal(Model), Spec.OrderOblivious))
+      Mask |= 1u << static_cast<unsigned>(Kind);
+  }
+  return Mask;
+}
+
+/// Algorithm 1's state for one Phase I run: per-family results and win
+/// counts, advanced one seed at a time in seed order. Every caller checks
+/// allFull() before handing it the next seed, as the serial loop does.
+class Ledger {
+public:
+  Ledger(const TrainOptions &Options, std::vector<ModelKind> Models,
+         bool CountUnmatchedSeeds)
+      : Models(std::move(Models)), TargetPerDs(Options.TargetPerDs),
+        WinnerMargin(Options.WinnerMargin),
+        CountUnmatchedSeeds(CountUnmatchedSeeds) {}
+
+  bool full(ModelKind Model) const {
+    auto M = static_cast<unsigned>(Model);
+    for (DsKind Kind : modelCandidates(Model))
+      if (WinCount[M][static_cast<unsigned>(Kind)] < TargetPerDs)
+        return false;
+    return true;
+  }
+
+  bool allFull() const {
+    for (ModelKind Model : Models)
+      if (!full(Model))
+        return false;
+    return true;
+  }
+
+  /// The families still hungry for winners.
+  std::array<bool, NumModelKinds> wanted() const {
+    std::array<bool, NumModelKinds> Wanted{};
+    for (ModelKind Model : Models)
+      Wanted[static_cast<unsigned>(Model)] = !full(Model);
+    return Wanted;
+  }
+
+  /// Applies one evaluated seed. Outcomes for families that are already
+  /// full are ignored, so an evaluation against an older (superset)
+  /// Wanted snapshot merges exactly like the serial one.
+  void merge(uint64_t Seed,
+             const std::array<SeedOutcome, NumModelKinds> &Evals) {
+    for (ModelKind Model : Models) {
+      auto M = static_cast<unsigned>(Model);
+      if (full(Model))
+        continue;
+      const SeedOutcome &O = Evals[M];
+      if (CountUnmatchedSeeds)
+        ++Results[M].SeedsScanned;
+      if (!O.Matched)
+        continue;
+      if (!CountUnmatchedSeeds)
+        ++Results[M].SeedsScanned;
+      // Footnote 2: only record clear winners, so marginal apps do not
+      // teach the model noise.
+      if (O.NumCandidates > 1 && O.Margin < WinnerMargin) {
+        ++Results[M].MarginRejects;
+        continue;
+      }
+      ++WinCount[M][static_cast<unsigned>(O.Best)];
+      Results[M].SeedDsPairs.push_back({Seed, O.Best});
+    }
+  }
+
+  /// A skipped seed is invisible to the merge: not scanned, not raced, but
+  /// recorded per still-hungry family so callers can reconcile fault runs
+  /// with fault-free runs over the surviving seed set.
+  void skip(uint64_t Seed) {
+    for (ModelKind Model : Models)
+      if (!full(Model))
+        Results[static_cast<unsigned>(Model)].SkippedSeeds.push_back(Seed);
+  }
+
+  /// Restores a checkpoint's results. Each recorded pair incremented its
+  /// win count exactly once, so the counts are rebuilt from the pairs.
+  void restore(std::array<PhaseOneResult, NumModelKinds> Restored) {
+    Results = std::move(Restored);
+    for (unsigned M = 0; M != NumModelKinds; ++M)
+      for (const SeedBest &P : Results[M].SeedDsPairs)
+        ++WinCount[M][static_cast<unsigned>(P.BestDs)];
+  }
+
+  std::array<PhaseOneResult, NumModelKinds> Results;
+
+private:
+  std::vector<ModelKind> Models;
+  unsigned TargetPerDs;
+  double WinnerMargin;
+  bool CountUnmatchedSeeds;
+  std::array<std::array<unsigned, NumDsKinds>, NumModelKinds> WinCount{};
+};
+
+/// Persists the ledger as a resume point whose next seed offset is the
+/// argument (a no-op without a checkpoint file).
+using CheckpointFn = std::function<void(uint64_t NextOffset, const Ledger &)>;
+
+/// The local Phase I evaluator (see the file comment). Seed offsets are
+/// relative to Options.FirstSeed; [Start, End) is the range to scan.
+///
+/// Warm starts must not speculate into fresh measurements. Seeds below
+/// WarmEnd (one past the highest seed the cache held when Phase I began)
+/// that miss the cache wait for the frontier, then simulate only what the
+/// serial loop needs; seeds from WarmEnd on are claimed only once the
+/// frontier has passed WarmEnd - 1, and then speculate as in a cold start.
+class SeedStream {
+public:
+  SeedStream(const TrainingFramework &F, Ledger L, uint64_t Start,
+             uint64_t WarmEnd, uint64_t CommitEvery, CheckpointFn Commit)
+      : F(F), First(F.options().FirstSeed), End(F.options().MaxSeeds),
+        WarmEnd(WarmEnd), CommitEvery(CommitEvery),
+        Commit(std::move(Commit)), L(std::move(L)), Cursor(Start),
+        Frontier(Start), NextCommit(std::min(End, Start + CommitEvery)) {
+    Stopped = this->L.allFull();
+    Snapshot = this->L.wanted();
+  }
+
+  /// One executor: claims, evaluates and deposits seeds until the stream
+  /// stops or runs out of seeds.
+  void execute() BRAINY_EXCLUDES(Mu) {
+    for (;;) {
+      uint64_t Offset;
+      std::array<bool, NumModelKinds> Wanted;
+      {
+        MutexLock Lock(Mu);
+        while (!Stopped && Cursor < End && Cursor >= WarmEnd &&
+               Frontier < WarmEnd)
+          Cv.wait(Mu);
+        if (Stopped || Cursor >= End)
+          return;
+        Offset = Cursor++;
+        Wanted = Snapshot;
+      }
+      Pending P;
+      bool Deposit = true;
+      try {
+        Deposit = evaluate(Offset, Wanted, P);
+      } catch (const std::exception &E) {
+        // tryEvalSeed never throws, so this is spec generation or
+        // bookkeeping running out of memory: merge the seed as skipped.
+        std::fprintf(stderr, "brainy: phase I: seed %llu failed: %s\n",
+                     static_cast<unsigned long long>(First + Offset),
+                     E.what());
+        P = Pending();
+      }
+      MutexLock Lock(Mu);
+      if (Deposit) {
+        Done.emplace(Offset, std::move(P));
+        advance();
+      }
+      Cv.notifyAll();
+    }
+  }
+
+  /// After every executor returned: the ledger, plus the measurements to
+  /// commit and the number of speculative ones dropped.
+  Ledger finish(std::vector<CycleRecord> &Kept, uint64_t &Dropped)
+      BRAINY_EXCLUDES(Mu) {
+    MutexLock Lock(Mu);
+    for (const auto &KV : Done)
+      Speculative += __builtin_popcount(KV.second.Fresh.Mask);
+    Kept = std::move(Commits);
+    Dropped = Speculative;
+    return std::move(L);
+  }
+
+private:
+  /// A finished seed waiting for the frontier.
+  struct Pending {
+    SeedEvalResult Eval;
+    AppSpec Spec;
+    /// What the executor measured for this seed (Mask 0 if nothing).
+    CycleRecord Fresh;
+  };
+
+  /// Evaluates one claimed seed into \p Out. Returns false when the stream
+  /// stopped while a warm miss waited for the frontier: the seed is
+  /// abandoned unevaluated.
+  bool evaluate(uint64_t Offset, std::array<bool, NumModelKinds> Wanted,
+                Pending &Out) BRAINY_EXCLUDES(Mu) {
+    uint64_t Seed = First + Offset;
+    Out.Spec = AppSpec::fromSeed(Seed, F.options().GenConfig);
+    MeasurementCache::Shard Shard = F.measurements().shard();
+    if (Offset < WarmEnd &&
+        !Shard.cached(Seed, racedKinds(Out.Spec, Wanted))) {
+      MutexLock Lock(Mu);
+      while (!Stopped && Frontier != Offset)
+        Cv.wait(Mu);
+      if (Stopped)
+        return false;
+      Wanted = Snapshot;
+    }
+    Out.Eval.Ok = F.tryEvalSeed(Seed, Wanted, Shard, Out.Eval.Outcomes);
+    std::vector<CycleRecord> Fresh = Shard.freshRecords(Seed, Seed + 1);
+    if (!Fresh.empty())
+      Out.Fresh = Fresh.front();
+    return true;
+  }
+
+  /// Moves the frontier over every finished seed it can reach, in order.
+  void advance() BRAINY_REQUIRES(Mu) {
+    while (!Stopped) {
+      if (L.allFull() || Frontier >= End) {
+        Stopped = true;
+        break;
+      }
+      auto It = Done.find(Frontier);
+      if (It == Done.end())
+        break;
+      mergeOne(It->second);
+      Done.erase(It);
+      ++Frontier;
+      // Checkpoints commit where the wave path would have: at every
+      // CommitEvery boundary, and at the stop.
+      if (Frontier == NextCommit || L.allFull()) {
+        Commit(NextCommit, L);
+        NextCommit = std::min(End, NextCommit + CommitEvery);
+      }
+    }
+    Snapshot = L.wanted();
+  }
+
+  /// Merges the seed at the frontier, keeping the measurements the serial
+  /// loop makes there and counting the rest as speculative.
+  void mergeOne(const Pending &P) BRAINY_REQUIRES(Mu) {
+    uint64_t Seed = First + Frontier;
+    unsigned Keep = 0;
+    if (P.Eval.Ok) {
+      Keep = P.Fresh.Mask & racedKinds(P.Spec, L.wanted());
+      L.merge(Seed, P.Eval.Outcomes);
+    } else {
+      L.skip(Seed);
+    }
+    if (Keep) {
+      Commits.push_back(P.Fresh);
+      Commits.back().Mask = Keep;
+    }
+    Speculative += __builtin_popcount(P.Fresh.Mask & ~Keep);
+  }
+
+  const TrainingFramework &F;
+  const uint64_t First, End, WarmEnd, CommitEvery;
+  const CheckpointFn Commit;
+
+  Mutex Mu;
+  ConditionVariable Cv;
+  Ledger L BRAINY_GUARDED_BY(Mu);
+  /// Next seed offset to claim, and next to merge.
+  uint64_t Cursor BRAINY_GUARDED_BY(Mu);
+  uint64_t Frontier BRAINY_GUARDED_BY(Mu);
+  uint64_t NextCommit BRAINY_GUARDED_BY(Mu);
+  bool Stopped BRAINY_GUARDED_BY(Mu) = false;
+  /// L.wanted() as of the latest merged prefix.
+  std::array<bool, NumModelKinds> Snapshot BRAINY_GUARDED_BY(Mu) = {};
+  std::map<uint64_t, Pending> Done BRAINY_GUARDED_BY(Mu);
+  std::vector<CycleRecord> Commits BRAINY_GUARDED_BY(Mu);
+  uint64_t Speculative BRAINY_GUARDED_BY(Mu) = 0;
+};
 
 } // namespace
 
@@ -196,166 +478,15 @@ bool TrainingFramework::tryEvalSeed(
   return false;
 }
 
-std::vector<SeedEvalResult> TrainingFramework::evalWaveLocal(
-    uint64_t WaveBegin, uint64_t WaveEnd,
-    const std::array<bool, NumModelKinds> &Wanted) const {
-  size_t NumSeeds = static_cast<size_t>(WaveEnd - WaveBegin);
-  size_t NumChunks = (NumSeeds + PhaseOneChunk - 1) / PhaseOneChunk;
-
-  std::vector<MeasurementCache::Shard> Shards;
-  Shards.reserve(NumChunks);
-  for (size_t C = 0; C != NumChunks; ++C)
-    Shards.push_back(Cache.shard());
-
-  std::vector<SeedEvalResult> Evals(NumSeeds);
-  std::vector<std::exception_ptr> ChunkErrors;
-  pool().parallelChunks(
-      0, NumChunks, 1,
-      [&](size_t CBegin, size_t CEnd) {
-        for (size_t C = CBegin; C != CEnd; ++C) {
-          uint64_t Begin = WaveBegin + C * PhaseOneChunk;
-          uint64_t End = std::min(WaveEnd, Begin + PhaseOneChunk);
-          for (uint64_t Offset = Begin; Offset != End; ++Offset) {
-            SeedEvalResult &Slot = Evals[Offset - WaveBegin];
-            Slot.Ok = tryEvalSeed(Options.FirstSeed + Offset, Wanted,
-                                  Shards[C], Slot.Outcomes);
-          }
-        }
-      },
-      ChunkErrors);
-  // tryEvalSeed never throws, so captured chunk errors are unexpected
-  // (e.g. bad_alloc). Log and keep going: the chunk's untouched slots stay
-  // Ok=false and merge as skipped instead of aborting the wave.
-  for (size_t C = 0; C != NumChunks; ++C) {
-    if (!ChunkErrors[C])
-      continue;
-    uint64_t Begin = WaveBegin + C * PhaseOneChunk;
-    try {
-      std::rethrow_exception(ChunkErrors[C]);
-    } catch (const std::exception &E) {
-      std::fprintf(stderr,
-                   "brainy: phase I: chunk at seed %llu failed: %s\n",
-                   static_cast<unsigned long long>(Options.FirstSeed + Begin),
-                   E.what());
-      // brainy-lint: allow(catch-all): classification tail of a
-      // rethrow_exception switch; the chunk is already recorded failed.
-    } catch (...) {
-      std::fprintf(stderr, "brainy: phase I: chunk at seed %llu failed\n",
-                   static_cast<unsigned long long>(Options.FirstSeed +
-                                                   Begin));
-    }
-  }
-
-  for (MeasurementCache::Shard &S : Shards)
-    Cache.merge(std::move(S));
-  return Evals;
-}
-
 std::array<PhaseOneResult, NumModelKinds>
 TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
                                 bool CountUnmatchedSeeds) const {
-  std::array<PhaseOneResult, NumModelKinds> Results;
-  std::array<std::array<unsigned, NumDsKinds>, NumModelKinds> WinCount{};
-
-  auto ModelFull = [&](ModelKind Model) {
-    auto M = static_cast<unsigned>(Model);
-    for (DsKind Kind : modelCandidates(Model))
-      if (WinCount[M][static_cast<unsigned>(Kind)] < Options.TargetPerDs)
-        return false;
-    return true;
-  };
-  auto AllFull = [&]() {
-    for (ModelKind Model : Models)
-      if (!ModelFull(Model))
-        return false;
-    return true;
-  };
-  auto WantedNow = [&]() {
-    std::array<bool, NumModelKinds> Wanted{};
-    for (ModelKind Model : Models)
-      Wanted[static_cast<unsigned>(Model)] = !ModelFull(Model);
-    return Wanted;
-  };
-
-  // Applies one evaluated seed's bookkeeping, in seed order. Fullness is
-  // monotone, so re-checking ModelFull here makes dispatch-time Wanted
-  // snapshots (always supersets) converge to exactly the serial decisions.
-  // Returns false once every family is full: the seed was NOT consumed.
-  auto MergeSeed = [&](uint64_t Seed,
-                       const std::array<SeedOutcome, NumModelKinds> &Evals) {
-    if (AllFull())
-      return false;
-    for (ModelKind Model : Models) {
-      auto M = static_cast<unsigned>(Model);
-      if (ModelFull(Model))
-        continue;
-      const SeedOutcome &O = Evals[M];
-      if (CountUnmatchedSeeds)
-        ++Results[M].SeedsScanned;
-      if (!O.Matched)
-        continue;
-      if (!CountUnmatchedSeeds)
-        ++Results[M].SeedsScanned;
-      // Footnote 2: only record clear winners, so marginal apps do not
-      // teach the model noise.
-      if (O.NumCandidates > 1 && O.Margin < Options.WinnerMargin) {
-        ++Results[M].MarginRejects;
-        continue;
-      }
-      ++WinCount[M][static_cast<unsigned>(O.Best)];
-      Results[M].SeedDsPairs.push_back({Seed, O.Best});
-    }
-    return true;
-  };
-
-  // A skipped seed is invisible to the merge: not scanned, not raced, but
-  // recorded per still-hungry family so callers can reconcile fault runs
-  // with fault-free runs over the surviving seed set.
-  auto RecordSkip = [&](uint64_t Seed) {
-    for (ModelKind Model : Models) {
-      auto M = static_cast<unsigned>(Model);
-      if (!ModelFull(Model))
-        Results[M].SkippedSeeds.push_back(Seed);
-    }
-  };
-
-  if (jobs() <= 1 && !Options.Distribution && Options.CheckpointFile.empty()) {
-    // Serial path: one shard for the whole scan, fullness consulted live so
-    // no seed is ever measured past the stopping point. (Checkpointing
-    // forces the wave path below: wave boundaries are its commit points,
-    // and the ordered merge makes the results identical either way.)
-    MeasurementCache::Shard Shard = Cache.shard();
-    std::array<SeedOutcome, NumModelKinds> Out{};
-    for (uint64_t Offset = 0; Offset != Options.MaxSeeds; ++Offset) {
-      if (AllFull())
-        break;
-      uint64_t Seed = Options.FirstSeed + Offset;
-      if (tryEvalSeed(Seed, WantedNow(), Shard, Out))
-        MergeSeed(Seed, Out);
-      else
-        RecordSkip(Seed);
-    }
-    Cache.merge(std::move(Shard));
-    return Results;
-  }
-
-  // Parallel/distributed path: waves of Width chunks. Each chunk races its
-  // seeds against a dispatch-time fullness snapshot — on pool threads into
-  // private cache shards, or on remote workers via the ChunkEvalService —
-  // and the join replays the bookkeeping in seed order. The merge below is
-  // the only consumer of either evaluator, so local, distributed, and
-  // serial runs are bit-identical by construction.
-  unsigned Width =
-      Options.Distribution ? Options.Distribution->width() : jobs();
-  if (Width == 0)
-    Width = 1;
-  uint64_t WaveSeeds = PhaseOneChunk * Width;
+  Ledger L(Options, Models, CountUnmatchedSeeds);
 
   // Resumable coordination (DESIGN.md §13): restore the last committed
-  // wave boundary, rebuild the win counts from the restored pairs (each
-  // pair incremented its count exactly once), and continue from there. A
-  // missing file is the normal cold start; any other load failure is
-  // logged and also cold-starts — a checkpoint can be stale, never wrong.
+  // boundary and continue from there. A missing file is the normal cold
+  // start; any other load failure is logged and also cold-starts — a
+  // checkpoint can be stale, never wrong.
   uint64_t StartOffset = 0;
   uint64_t CkptFingerprint = 0;
   if (!Options.CheckpointFile.empty()) {
@@ -364,10 +495,7 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
     Expected<TrainCheckpoint> Ck =
         loadCheckpoint(Options.CheckpointFile, CkptFingerprint, Machine.Name);
     if (Ck) {
-      Results = std::move(Ck->Results);
-      for (unsigned M = 0; M != NumModelKinds; ++M)
-        for (const SeedBest &P : Results[M].SeedDsPairs)
-          ++WinCount[M][static_cast<unsigned>(P.BestDs)];
+      L.restore(std::move(Ck->Results));
       StartOffset = Ck->NextOffset;
       std::fprintf(stderr,
                    "brainy: phase I: resumed from checkpoint at seed "
@@ -375,61 +503,71 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
                    static_cast<unsigned long long>(StartOffset),
                    Ck->Stopped ? " (already complete)" : "");
       if (Ck->Stopped)
-        return Results;
+        return std::move(L.Results);
     } else if (Ck.error().code() != ErrCode::IoError) {
       std::fprintf(stderr, "brainy: phase I: cold start: %s\n",
                    Ck.error().message().c_str());
     }
   }
+  // The ledger's entire state at a commit point is its results (win counts
+  // derive from the pairs) plus the next offset — exactly a resume point.
+  // A failed save costs resumability, not correctness.
+  auto SaveCheckpoint = [&](uint64_t NextOffset, const Ledger &At) {
+    if (Options.CheckpointFile.empty())
+      return;
+    TrainCheckpoint Ck;
+    Ck.NextOffset = NextOffset;
+    Ck.Stopped = At.allFull();
+    Ck.Results = At.Results;
+    if (Error E = saveCheckpoint(Options.CheckpointFile, Ck, CkptFingerprint,
+                                 Machine.Name))
+      std::fprintf(stderr, "brainy: phase I: checkpoint save failed: %s\n",
+                   E.message().c_str());
+  };
 
+  unsigned Width =
+      Options.Distribution ? Options.Distribution->width() : jobs();
+  uint64_t WaveSeeds = PhaseOneChunk * std::max(Width, 1u);
+
+  if (!Options.Distribution) {
+    // H, the highest seed already cached, bounds the warm range.
+    std::vector<CycleRecord> Cached = Cache.records();
+    uint64_t WarmEnd = 0;
+    if (!Cached.empty() && Cached.back().Seed >= Options.FirstSeed)
+      WarmEnd = Cached.back().Seed - Options.FirstSeed + 1;
+    SeedStream Stream(*this, std::move(L), StartOffset, WarmEnd, WaveSeeds,
+                      SaveCheckpoint);
+    pool().parallelFor(0, jobs(), [&](size_t) { Stream.execute(); });
+    std::vector<CycleRecord> Kept;
+    uint64_t Dropped = 0;
+    L = Stream.finish(Kept, Dropped);
+    Cache.commit(Kept, Dropped);
+    return std::move(L.Results);
+  }
+
+  // Distributed path: waves of width() chunks, each raced by remote
+  // workers against a dispatch-time Wanted snapshot, then replayed through
+  // the ledger in seed order.
   for (uint64_t WaveBegin = StartOffset;
-       WaveBegin < Options.MaxSeeds && !AllFull(); WaveBegin += WaveSeeds) {
+       WaveBegin < Options.MaxSeeds && !L.allFull(); WaveBegin += WaveSeeds) {
     uint64_t WaveEnd = std::min(Options.MaxSeeds, WaveBegin + WaveSeeds);
-    std::array<bool, NumModelKinds> Wanted = WantedNow();
-
-    std::vector<SeedEvalResult> Evals =
-        Options.Distribution
-            ? Options.Distribution->evalWave(Options.FirstSeed + WaveBegin,
-                                             Options.FirstSeed + WaveEnd,
-                                             Wanted)
-            : evalWaveLocal(WaveBegin, WaveEnd, Wanted);
+    std::vector<SeedEvalResult> Evals = Options.Distribution->evalWave(
+        Options.FirstSeed + WaveBegin, Options.FirstSeed + WaveEnd,
+        L.wanted());
     // A short service reply leaves trailing slots defaulted: Ok=false, so
     // the missing seeds merge as skipped rather than faulting.
     Evals.resize(static_cast<size_t>(WaveEnd - WaveBegin));
-
-    bool Stopped = false;
-    for (uint64_t Offset = WaveBegin; Offset != WaveEnd && !Stopped;
+    for (uint64_t Offset = WaveBegin; Offset != WaveEnd && !L.allFull();
          ++Offset) {
-      uint64_t Seed = Options.FirstSeed + Offset;
       const SeedEvalResult &Slot = Evals[Offset - WaveBegin];
-      if (!Slot.Ok) {
-        // Same decision order as the serial loop: stop if every family is
-        // already full, otherwise record the skip and move on.
-        if (AllFull())
-          Stopped = true;
-        else
-          RecordSkip(Seed);
-        continue;
-      }
-      Stopped = !MergeSeed(Seed, Slot.Outcomes);
+      if (Slot.Ok)
+        L.merge(Options.FirstSeed + Offset, Slot.Outcomes);
+      else
+        L.skip(Options.FirstSeed + Offset);
     }
-
-    // Commit the merged wave. The loop's entire state at the next
-    // iteration's top is (Results, WinCount, WaveBegin), and WinCount is
-    // derivable from the pairs — so this file plus the options is exactly
-    // a resume point. A failed save costs resumability, not correctness.
-    if (!Options.CheckpointFile.empty()) {
-      TrainCheckpoint Ck;
-      Ck.NextOffset = WaveEnd;
-      Ck.Stopped = AllFull();
-      Ck.Results = Results;
-      if (Error E = saveCheckpoint(Options.CheckpointFile, Ck,
-                                   CkptFingerprint, Machine.Name))
-        std::fprintf(stderr, "brainy: phase I: checkpoint save failed: %s\n",
-                     E.message().c_str());
-    }
+    SaveCheckpoint(WaveEnd, L);
   }
-  return Results;
+  return std::move(L.Results);
 }
 
 PhaseOneResult TrainingFramework::phaseOne(ModelKind Model) const {

@@ -35,10 +35,10 @@
 
 namespace brainy {
 
-/// Seeds per Phase I worker chunk — the unit of dispatch for both the local
-/// thread pool and the distributed coordinator (DESIGN.md §7, §10). Purely a
-/// scheduling knob: results are identical for any value, it only balances
-/// claim overhead against tail waste.
+/// Seeds per Phase I worker chunk — the distributed coordinator's unit of
+/// dispatch (DESIGN.md §10); PhaseOneChunk * jobs() seeds also space the
+/// local path's checkpoint commits (§13). Purely a scheduling knob:
+/// results are identical for any value.
 constexpr uint64_t PhaseOneChunk = 16;
 
 /// One seed's Phase I evaluation for one family, computed from pure
@@ -52,8 +52,8 @@ struct SeedOutcome {
   unsigned NumCandidates = 0;
 };
 
-/// A seed's evaluation slot as produced by local chunk workers or streamed
-/// back from distributed ones. Ok=false means the seed is skipped — the
+/// A seed's evaluation slot as produced by local executors or streamed
+/// back from distributed workers. Ok=false means the seed is skipped — the
 /// default, so a chunk that dies mid-flight (worker loss, transport error)
 /// leaves its unevaluated seeds skipped rather than poisoning the wave.
 struct SeedEvalResult {
@@ -65,12 +65,11 @@ struct SeedEvalResult {
 /// core and src/distributed/ (which implements it with worker processes)
 /// kept abstract here so core never depends on the transport layer.
 ///
-/// The contract mirrors the local wave loop: evalWave receives a chunk-
-/// aligned seed range and a dispatch-time Wanted snapshot, evaluates every
-/// seed purely, and returns one slot per seed in seed order. Slots for
-/// seeds lost to worker death/timeout come back Ok=false and turn into
-/// PhaseOneResult::SkippedSeeds during the ordered merge, exactly like a
-/// locally failed evaluation.
+/// evalWave receives a chunk-aligned seed range and a dispatch-time Wanted
+/// snapshot, evaluates every seed purely, and returns one slot per seed in
+/// seed order. Slots for seeds lost to worker death/timeout come back
+/// Ok=false and turn into PhaseOneResult::SkippedSeeds during the ordered
+/// merge, exactly like a locally failed evaluation.
 class ChunkEvalService {
 public:
   virtual ~ChunkEvalService() = default;
@@ -112,7 +111,8 @@ struct TrainOptions {
   unsigned MaxPerDsPhase2 = 0; ///< 0 = same as TargetPerDs
   /// Worker threads for Phase I racing, Phase II profiling, and per-model
   /// training. 0 = take the BRAINY_JOBS environment variable, or 1 when it
-  /// is unset. 1 runs the serial path with no thread pool. Results are
+  /// is unset. 1 runs everything on the calling thread with no pool
+  /// workers. Results, and the measurements Phase I keeps, are
   /// bit-identical for every value.
   unsigned Jobs = 0;
   /// A seed evaluation that throws (or is fault-injected) is retried this
@@ -128,9 +128,9 @@ struct TrainOptions {
   std::set<uint64_t> ExcludeSeeds;
   /// When set, Phase I wave evaluation is delegated to this service — in
   /// practice a dist::Coordinator fanning chunks out to worker processes —
-  /// instead of the local thread pool; Jobs then governs only Phase II and
-  /// model training. Non-owning: the service must outlive the framework.
-  /// The ordered merge is shared with the local path, so results stay
+  /// instead of local executors; Jobs then governs only Phase II and model
+  /// training. Non-owning: the service must outlive the framework. The
+  /// ordered merge is shared with the local path, so results stay
   /// bit-identical to Jobs=1 minus any seeds the service reports lost.
   ChunkEvalService *Distribution = nullptr;
   /// When non-empty, the persistent measurement cache (DESIGN.md §12):
@@ -141,12 +141,10 @@ struct TrainOptions {
   /// recorded under a different generator config or machine is rejected by
   /// fingerprint and ignored.
   std::string MeasurementCacheFile;
-  /// When non-empty, resumable Phase I (DESIGN.md §13): every merged wave
-  /// is persisted to this file (`brainy-ckpt v1`, atomic write), and a
-  /// restarted run resumes from the last wave boundary with a
-  /// byte-identical final bundle. Checkpointing forces the wave path even
-  /// at Jobs=1 (wave boundaries are its commit points) — results are
-  /// unchanged, since the ordered merge is partition-independent. A
+  /// When non-empty, resumable Phase I (DESIGN.md §13): the merged state
+  /// is persisted to this file (`brainy-ckpt v1`, atomic write) every
+  /// PhaseOneChunk * width seeds and at the stop, and a restarted run
+  /// resumes from the last commit with a byte-identical final bundle. A
   /// corrupt or config-mismatched file is rejected wholesale and the run
   /// cold-starts; a checkpoint can never make a bundle wrong.
   std::string CheckpointFile;
@@ -176,12 +174,14 @@ struct PhaseOneResult {
 
 /// Runs both training phases for the six model families of one machine.
 ///
-/// Concurrency: with Jobs > 1 both phases fan seed chunks out over a shared
-/// ThreadPool and merge chunk results in seed order, so every result —
-/// (seed, bestDS) pairs, win-count early stopping, margin-reject counts —
-/// is bit-identical to the serial Jobs=1 run. Per-(seed, kind) cycle
-/// measurements are memoised in a MeasurementCache shared across model
-/// families, phases, threads, and repeated phaseOne calls.
+/// Concurrency: with Jobs > 1 Phase I runs jobs() executors over single
+/// seeds behind an ordered merge frontier, and Phase II fans seeds out over
+/// a shared ThreadPool; results are merged in seed order, so every result —
+/// (seed, bestDS) pairs, win-count early stopping, margin-reject counts,
+/// and the measurements kept — is bit-identical to the serial Jobs=1 run.
+/// Per-(seed, kind) cycle measurements are memoised in a MeasurementCache
+/// shared across model families, phases, threads, and repeated phaseOne
+/// calls.
 class TrainingFramework {
 public:
   TrainingFramework(TrainOptions Options, MachineConfig Machine);
@@ -246,13 +246,6 @@ public:
                    std::array<SeedOutcome, NumModelKinds> &Out) const;
 
 private:
-  /// The local wave evaluator: Width chunks of PhaseOneChunk seeds fanned
-  /// over pool() into private cache shards, merged back before returning.
-  /// Offsets are relative to Options.FirstSeed.
-  std::vector<SeedEvalResult>
-  evalWaveLocal(uint64_t WaveBegin, uint64_t WaveEnd,
-                const std::array<bool, NumModelKinds> &Wanted) const;
-
   std::array<PhaseOneResult, NumModelKinds>
   phaseOneImpl(const std::vector<ModelKind> &Models,
                bool CountUnmatchedSeeds) const;
@@ -261,7 +254,7 @@ private:
   MachineConfig Machine;
   unsigned ResolvedJobs = 1;
   size_t LoadedMeasurements = 0;
-  /// Internally synchronised (WaveMutex + the wave contract).
+  /// Internally synchronised (MapMutex + the frozen-map contract).
   mutable MeasurementCache Cache;
   /// Guards only the lazy creation of Pool; the pool itself is internally
   /// synchronised once constructed.

@@ -70,7 +70,7 @@ public:
   /// throwing chunk is recorded at \p Errors[chunk index] (null for chunks
   /// that succeed) and every other chunk still runs. \p Errors is resized
   /// to the chunk count. This is the fault-isolation mode: one poisoned
-  /// item cannot abort a whole training wave.
+  /// item cannot abort a whole training phase.
   void parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
                       const std::function<void(size_t, size_t)> &Fn,
                       std::vector<std::exception_ptr> &Errors);

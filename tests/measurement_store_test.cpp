@@ -13,7 +13,10 @@
 //    never half-restores;
 //  * a warm `Brainy::train` rerun is byte-identical to the cold run, hits
 //    the cache for every Phase I measurement, and stays identical when the
-//    job count changes.
+//    job count changes;
+//  * Phase I keeps exactly the serial run's measurements at any job count:
+//    the saved bytes match, a warm rerun at another job count measures
+//    nothing, and extending a cached seed range reproduces the serial run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +28,10 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace brainy;
@@ -53,6 +59,13 @@ TrainOptions tinyOptions() {
   Opts.Net.Epochs = 10;
   Opts.Jobs = 1;
   return Opts;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
 }
 
 /// Fills \p Cache with awkward cycle values: fractions whose decimal
@@ -309,6 +322,85 @@ TEST(MeasurementStoreTest, WarmTrainIsByteIdenticalAndFullyCached) {
   TrainOptions Parallel = Opts;
   Parallel.Jobs = 3;
   EXPECT_EQ(Brainy::train(Parallel, MC).toString(), Cold);
+  std::remove(Path.c_str());
+}
+
+TEST(MeasurementStoreTest, KeptMeasurementsAreIdenticalAcrossJobs) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainOptions Serial = tinyOptions();
+  TrainingFramework SerialFw(Serial, MC);
+  SerialFw.phaseOneAll();
+  std::string Want =
+      measurementsToString(SerialFw.measurements(), Serial.GenConfig, MC);
+  uint64_t SerialFresh = SerialFw.measurements().freshMeasurements();
+  EXPECT_EQ(SerialFw.measurements().speculativeMeasurements(), 0u)
+      << "one executor always sees the current frontier";
+
+  for (unsigned Jobs : {2u, 4u}) {
+    TrainOptions Opts = tinyOptions();
+    Opts.Jobs = Jobs;
+    TrainingFramework Fw(Opts, MC);
+    Fw.phaseOneAll();
+    EXPECT_EQ(measurementsToString(Fw.measurements(), Opts.GenConfig, MC),
+              Want)
+        << "Jobs=" << Jobs << " saved different measurements";
+    // Every simulation is counted; the ones beyond the serial set are
+    // exactly the speculative ones.
+    EXPECT_EQ(Fw.measurements().freshMeasurements() -
+                  Fw.measurements().speculativeMeasurements(),
+              SerialFresh)
+        << "Jobs=" << Jobs;
+  }
+}
+
+TEST(MeasurementStoreTest, WarmRerunAtAnotherJobCountMeasuresNothing) {
+  MachineConfig MC = MachineConfig::core2();
+  std::string Path = tmpPath("cross_jobs_cache.txt");
+  for (auto [ColdJobs, WarmJobs] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
+    std::remove(Path.c_str());
+    TrainOptions Cold = tinyOptions();
+    Cold.Jobs = ColdJobs;
+    TrainingFramework ColdFw(Cold, MC);
+    ColdFw.phaseOneAll();
+    ASSERT_FALSE(saveMeasurements(Path, ColdFw.measurements(),
+                                  Cold.GenConfig, MC));
+
+    TrainOptions Warm = Cold;
+    Warm.Jobs = WarmJobs;
+    Warm.MeasurementCacheFile = Path;
+    TrainingFramework WarmFw(Warm, MC);
+    EXPECT_GT(WarmFw.loadedMeasurements(), 0u);
+    WarmFw.phaseOneAll();
+    EXPECT_EQ(WarmFw.measurements().freshMeasurements(), 0u)
+        << "Jobs=" << WarmJobs << " rerun of a Jobs=" << ColdJobs
+        << " cache simulated";
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(MeasurementStoreTest, ExtendingTheCachedSeedRangeMatchesSerial) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainOptions Serial = tinyOptions();
+  std::string WantBundle = Brainy::train(Serial, MC).toString();
+  TrainingFramework SerialFw(Serial, MC);
+  SerialFw.phaseOneAll();
+  std::string WantCache =
+      measurementsToString(SerialFw.measurements(), Serial.GenConfig, MC);
+
+  // Cache the first half of the seed budget, then train over the whole
+  // budget from it: the cached half is answered from disk, the rest is
+  // raced as in a cold start.
+  std::string Path = tmpPath("extend_cache.txt");
+  std::remove(Path.c_str());
+  TrainOptions Opts = tinyOptions();
+  Opts.Jobs = 4;
+  Opts.MeasurementCacheFile = Path;
+  TrainOptions Short = Opts;
+  Short.MaxSeeds = Opts.MaxSeeds / 2;
+  (void)Brainy::train(Short, MC);
+
+  EXPECT_EQ(Brainy::train(Opts, MC).toString(), WantBundle);
+  EXPECT_EQ(readFile(Path), WantCache);
   std::remove(Path.c_str());
 }
 

@@ -4,8 +4,9 @@
 //
 // The parallel training pipeline's hard contract: any Jobs value produces
 // byte-identical results to the serial run — Phase I pairs and counters,
-// Phase II examples, trained models, GA feature selection. Plus unit tests
-// for the ThreadPool itself.
+// Phase II examples, trained models, GA feature selection, and a
+// checkpointed run killed and resumed at another job count. Plus unit
+// tests for the ThreadPool itself.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace brainy;
@@ -107,6 +113,25 @@ TrainOptions parOptions(unsigned Jobs) {
   return Opts;
 }
 
+/// A cheaper configuration for tests that train several times.
+TrainOptions tinyOptions(unsigned Jobs) {
+  TrainOptions Opts;
+  Opts.TargetPerDs = 3;
+  Opts.MaxSeeds = 200;
+  Opts.GenConfig.TotalInterfCalls = 120;
+  Opts.GenConfig.MaxInitialSize = 200;
+  Opts.Net.Epochs = 10;
+  Opts.Jobs = Jobs;
+  return Opts;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
 void expectSameResult(const PhaseOneResult &Serial,
                       const PhaseOneResult &Parallel) {
   EXPECT_EQ(Serial.SeedsScanned, Parallel.SeedsScanned);
@@ -183,6 +208,44 @@ TEST(TrainingParallelTest, TrainedBundleIdenticalAcrossJobs) {
   // Whole-bundle text equality covers Phase II examples, normalisation
   // stats, and every trained weight — and therefore every prediction.
   EXPECT_EQ(A.toString(), B.toString());
+}
+
+TEST(TrainingParallelTest, CheckpointResumeAcrossJobsMatchesSerial) {
+  MachineConfig MC = MachineConfig::core2();
+  std::string CachePath = ::testing::TempDir() + "brainy_par_resume.mcache";
+  std::string CkptPath = ::testing::TempDir() + "brainy_par_resume.ckpt";
+
+  std::remove(CachePath.c_str());
+  TrainOptions Serial = tinyOptions(1);
+  Serial.MeasurementCacheFile = CachePath;
+  std::string WantBundle = Brainy::train(Serial, MC).toString();
+  std::string WantCache = readFile(CachePath);
+
+  for (auto [KilledJobs, ResumedJobs] :
+       {std::pair{4u, 2u}, std::pair{1u, 4u}, std::pair{3u, 1u}}) {
+    std::remove(CachePath.c_str());
+    std::remove(CkptPath.c_str());
+    // Simulate a kill mid-run: cap the seed budget, which the checkpoint
+    // fingerprint ignores, so the last commit is a valid resume point for
+    // the full budget.
+    TrainOptions Killed = tinyOptions(KilledJobs);
+    Killed.MaxSeeds = 40;
+    Killed.MeasurementCacheFile = CachePath;
+    Killed.CheckpointFile = CkptPath;
+    (void)Brainy::train(Killed, MC);
+
+    TrainOptions Resumed = tinyOptions(ResumedJobs);
+    Resumed.MeasurementCacheFile = CachePath;
+    Resumed.CheckpointFile = CkptPath;
+    EXPECT_EQ(Brainy::train(Resumed, MC).toString(), WantBundle)
+        << "killed at Jobs=" << KilledJobs << ", resumed at Jobs="
+        << ResumedJobs;
+    EXPECT_EQ(readFile(CachePath), WantCache)
+        << "killed at Jobs=" << KilledJobs << ", resumed at Jobs="
+        << ResumedJobs;
+  }
+  std::remove(CachePath.c_str());
+  std::remove(CkptPath.c_str());
 }
 
 TEST(TrainingParallelTest, GaSelectionIdenticalAcrossJobs) {

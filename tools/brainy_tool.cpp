@@ -265,9 +265,9 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
   // Set before the Coordinator is built: the coordinator preloads the
   // same file so warm distributed runs skip worker-side simulation too.
   Opts.MeasurementCacheFile = A.get("measurement-cache");
-  // Resumable Phase I (DESIGN.md §13): every merged wave is committed to
-  // this file; a killed run rerun with the same flags resumes from the
-  // last wave boundary and emits a byte-identical bundle.
+  // Resumable Phase I (DESIGN.md §13): the merged state is committed to
+  // this file every few seeds; a killed run rerun with the same flags
+  // resumes from the last commit and emits a byte-identical bundle.
   Opts.CheckpointFile = A.get("checkpoint");
   // --workers N shards over local `brainy worker` subprocesses;
   // --workers host:port,... connects to a fleet of `brainy worker
