@@ -22,11 +22,12 @@
 /// \endcode
 ///
 /// Persistence is hardened for the unattended install-time workflow
-/// (DESIGN.md §8): bundles carry magic bytes, a format version, the
-/// feature-vector width, and a CRC32 over the payload; save() is atomic
-/// (temp file + rename) and load() reports a diagnosable Error instead of
-/// a bare false. An advisor whose routed model is unavailable degrades to
-/// "keep the original" and counts the event (strict mode throws instead).
+/// (DESIGN.md §8): bundles use the shared support/Envelope.h envelope
+/// (magic, format version, payload size and CRC32) with the machine, tag
+/// and feature-vector width in the header; save() is atomic (temp file +
+/// rename) and load() reports a diagnosable Error. An advisor whose
+/// routed model is unavailable degrades to "keep the original" and counts
+/// the event (strict mode throws instead).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,9 +122,14 @@ public:
   void setStrict(bool Value) { Strict = Value; }
   bool strict() const { return Strict; }
 
-  /// Whole-bundle persistence. toString emits the v2 format: a header
-  /// (magic+version, machine, tag, feature count, model count, payload
-  /// size + CRC32) followed by the six model sections.
+  /// Renders a v2 bundle: the `brainy-bundle v2` envelope (support/
+  /// Envelope.h) with header fields machine, tag, feature count and model
+  /// count around \p Sections, the concatenated model sections.
+  static std::string renderBundle(const std::string &MachineName,
+                                  const std::string &Tag,
+                                  const std::string &Sections);
+
+  /// Whole-bundle persistence: renderBundle over the six model sections.
   std::string toString() const;
 
   /// Parses and validates a v2 bundle; on any defect \p Out is left
@@ -142,11 +148,6 @@ public:
   static Expected<Brainy> load(const std::string &Path,
                                const std::string &ExpectMachine,
                                const std::string &ExpectTag);
-
-  /// Boolean conveniences over parse/save/load.
-  static bool fromString(const std::string &Text, Brainy &Out);
-  bool saveFile(const std::string &Path) const;
-  static bool loadFile(const std::string &Path, Brainy &Out);
 
 private:
   std::array<BrainyModel, NumModelKinds> Models;

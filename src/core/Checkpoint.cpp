@@ -7,54 +7,16 @@
 #include "core/Checkpoint.h"
 
 #include "core/MeasurementStore.h"
-#include "support/Crc32.h"
-#include "support/FaultInjector.h"
+#include "support/Envelope.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
 namespace {
 
-constexpr const char *CkptMagic = "brainy-ckpt";
-constexpr const char *CkptVersion = "v1";
-
-/// Same I/O-step salts as bundle/mcache persistence, so one
-/// `BRAINY_FAULT=io:...` spec exercises every store's failure paths.
-constexpr uint64_t IoSaltRead = 0;
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
-
-/// FNV-1a-64 absorb (the mcache idiom: integers as decimal text, doubles
-/// as %a hex floats, '|' separators so adjacent fields cannot alias).
-void fnv(uint64_t &H, const void *Data, size_t Size) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-}
-
-void fnvStr(uint64_t &H, const std::string &S) {
-  fnv(H, S.data(), S.size());
-  fnv(H, "|", 1);
-}
-
-void fnvInt(uint64_t &H, uint64_t V) {
-  char Buf[24];
-  int N = std::snprintf(Buf, sizeof(Buf), "%" PRIu64 "|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
-
-void fnvDouble(uint64_t &H, double V) {
-  char Buf[40];
-  int N = std::snprintf(Buf, sizeof(Buf), "%a|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
+constexpr EnvelopeFormat CkptFormat{"brainy-ckpt", "v1", "checkpoint"};
 
 } // namespace
 
@@ -62,24 +24,24 @@ uint64_t brainy::checkpointFingerprint(const TrainOptions &Options,
                                        const MachineConfig &Machine,
                                        const std::vector<ModelKind> &Models,
                                        bool CountUnmatchedSeeds) {
-  uint64_t H = 14695981039346656037ull; // FNV offset basis
-  fnvStr(H, "ckpt");
+  Fingerprint H;
+  H.str("ckpt");
   // Measurements are the ground truth every merge decision derives from;
   // their fingerprint folds in every generator and machine knob.
-  fnvInt(H, measurementFingerprint(Options.GenConfig, Machine));
-  fnvInt(H, Options.FirstSeed);
-  fnvInt(H, Options.TargetPerDs);
-  fnvDouble(H, Options.WinnerMargin);
-  fnvInt(H, Options.EvalRetries);
-  fnvInt(H, Options.ExcludeSeeds.size());
+  H.num(measurementFingerprint(Options.GenConfig, Machine));
+  H.num(Options.FirstSeed);
+  H.num(Options.TargetPerDs);
+  H.real(Options.WinnerMargin);
+  H.num(Options.EvalRetries);
+  H.num(Options.ExcludeSeeds.size());
   for (uint64_t Seed : Options.ExcludeSeeds)
-    fnvInt(H, Seed);
-  fnvStr(H, "models");
-  fnvInt(H, Models.size());
+    H.num(Seed);
+  H.str("models");
+  H.num(Models.size());
   for (ModelKind Model : Models)
-    fnvInt(H, static_cast<unsigned>(Model));
-  fnvInt(H, CountUnmatchedSeeds ? 1 : 0);
-  return H;
+    H.num(static_cast<unsigned>(Model));
+  H.num(CountUnmatchedSeeds ? 1 : 0);
+  return H.digest();
 }
 
 std::string brainy::checkpointToString(const TrainCheckpoint &Ck,
@@ -106,147 +68,63 @@ std::string brainy::checkpointToString(const TrainCheckpoint &Ck,
     }
   }
 
-  std::string Out = std::string(CkptMagic) + " " + CkptVersion + "\n";
-  Out += "machine " + MachineName + "\n";
-  std::snprintf(Buf, sizeof(Buf), "fingerprint %016" PRIx64 "\n",
-                Fingerprint);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "next %" PRIu64 " stopped %d\n",
-                Ck.NextOffset, Ck.Stopped ? 1 : 0);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+  std::snprintf(Buf, sizeof(Buf), "%" PRIu64 " stopped %d", Ck.NextOffset,
+                Ck.Stopped ? 1 : 0);
+  return writeEnvelope(CkptFormat,
+                       {{"machine", MachineName},
+                        {"fingerprint", Fingerprint::hex(Fingerprint)},
+                        {"next", Buf}},
+                       Payload);
 }
 
 Error brainy::saveCheckpoint(const std::string &Path,
                              const TrainCheckpoint &Ck, uint64_t Fingerprint,
                              const std::string &MachineName) {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Text = checkpointToString(Ck, Fingerprint, MachineName);
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  // The rename is the commit point: a kill at any instant leaves either
-  // the previous complete checkpoint or the new one, never a torn file.
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
-  return Error::success();
+  return saveFileAtomic(Path,
+                        checkpointToString(Ck, Fingerprint, MachineName));
 }
 
 Expected<TrainCheckpoint>
 brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
                         const std::string &MachineName) {
-  if (Text.empty())
-    return Error(ErrCode::Truncated, "empty checkpoint");
+  Expected<Envelope> Env =
+      readEnvelope(Text, CkptFormat, {"machine", "fingerprint", "next"});
+  if (!Env)
+    return Env.error();
+  const std::string &FileMachine = Env->Values[0];
+  if (FileMachine != MachineName)
+    return Error(ErrCode::MachineMismatch, "checkpoint recorded on '" +
+                                               FileMachine + "', want '" +
+                                               MachineName + "'");
+  uint64_t FileFp = 0;
+  if (std::sscanf(Env->Values[1].c_str(), "%16" SCNx64, &FileFp) != 1)
+    return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
+  if (FileFp != Fingerprint)
+    return Error(ErrCode::TagMismatch,
+                 "config fingerprint " + Fingerprint::hex(FileFp) +
+                     ", this run is " + Fingerprint::hex(Fingerprint));
+  TrainCheckpoint Ck;
+  int StoppedInt = -1;
+  if (std::sscanf(Env->Values[2].c_str(), "%" SCNu64 " stopped %d",
+                  &Ck.NextOffset, &StoppedInt) != 2 ||
+      (StoppedInt != 0 && StoppedInt != 1))
+    return Error(ErrCode::BadFormat, "expected 'next <offset> stopped <0|1>'");
+  Ck.Stopped = StoppedInt == 1;
 
+  const std::string &Payload = Env->Payload;
   size_t Pos = 0;
-  auto TakeLine = [&Text, &Pos](std::string &Line) {
-    if (Pos >= Text.size())
+  auto TakeLine = [&Payload, &Pos](std::string &Line) {
+    if (Pos >= Payload.size())
       return false;
-    size_t Eol = Text.find('\n', Pos);
+    size_t Eol = Payload.find('\n', Pos);
     if (Eol == std::string::npos)
-      Eol = Text.size();
-    Line = Text.substr(Pos, Eol - Pos);
+      Eol = Payload.size();
+    Line = Payload.substr(Pos, Eol - Pos);
     Pos = Eol + 1;
     return true;
   };
 
   std::string Line;
-  TakeLine(Line);
-  size_t Space = Line.find(' ');
-  if (Line.substr(0, Space) != CkptMagic)
-    return Error(ErrCode::BadMagic, "not a brainy checkpoint");
-  std::string Version =
-      Space == std::string::npos ? "" : Line.substr(Space + 1);
-  if (Version != CkptVersion)
-    return Error(ErrCode::BadVersion, "checkpoint version '" + Version +
-                                          "', this build reads '" +
-                                          CkptVersion + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'machine'");
-  if (Line.rfind("machine ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'machine <name>'");
-  std::string FileMachine = Line.substr(8);
-  if (FileMachine != MachineName)
-    return Error(ErrCode::MachineMismatch, "checkpoint recorded on '" +
-                                               FileMachine + "', want '" +
-                                               MachineName + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'fingerprint'");
-  uint64_t FileFp = 0;
-  if (std::sscanf(Line.c_str(), "fingerprint %16" SCNx64, &FileFp) != 1)
-    return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
-  if (FileFp != Fingerprint) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
-                  FileFp, Fingerprint);
-    return Error(ErrCode::TagMismatch, Buf);
-  }
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'next'");
-  TrainCheckpoint Ck;
-  int StoppedInt = -1;
-  if (std::sscanf(Line.c_str(), "next %" SCNu64 " stopped %d", &Ck.NextOffset,
-                  &StoppedInt) != 2 ||
-      (StoppedInt != 0 && StoppedInt != 1))
-    return Error(ErrCode::BadFormat, "expected 'next <offset> stopped <0|1>'");
-  Ck.Stopped = StoppedInt == 1;
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'payload'");
-  unsigned long long PayloadSize = 0;
-  uint32_t WantCrc = 0;
-  if (std::sscanf(Line.c_str(), "payload %llu crc32 %8" SCNx32, &PayloadSize,
-                  &WantCrc) != 2)
-    return Error(ErrCode::BadFormat, "expected 'payload <size> crc32 <hex>'");
-
-  size_t Remaining = Text.size() - Pos;
-  if (Remaining < PayloadSize)
-    return Error(ErrCode::Truncated,
-                 "payload is " + std::to_string(Remaining) +
-                     " bytes, header declares " +
-                     std::to_string(PayloadSize));
-  if (Remaining > PayloadSize)
-    return Error(ErrCode::BadFormat, std::to_string(Remaining - PayloadSize) +
-                                         " trailing bytes after payload");
-
-  uint32_t GotCrc = crc32(Text.data() + Pos, Remaining);
-  if (GotCrc != WantCrc) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "payload crc32 %08" PRIx32 ", header says %08" PRIx32,
-                  GotCrc, WantCrc);
-    return Error(ErrCode::BadChecksum, Buf);
-  }
-
   // Parse the per-family sections, validating everything — counts, kind
   // ranges, seed ordering — before the checkpoint is handed to a caller.
   for (unsigned M = 0; M != NumModelKinds; ++M) {
@@ -295,7 +173,7 @@ brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
       R.SkippedSeeds.push_back(Seed);
     }
   }
-  if (Pos < Text.size())
+  if (Pos < Payload.size())
     return Error(ErrCode::BadFormat, "trailing lines after last family");
   return Ck;
 }
@@ -303,23 +181,11 @@ brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
 Expected<TrainCheckpoint>
 brainy::loadCheckpoint(const std::string &Path, uint64_t Fingerprint,
                        const std::string &MachineName) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), IoSaltRead))
-    return Error(ErrCode::FaultInjected, "reading '" + Path + "'");
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Path + "': " + std::strerror(errno));
-  std::string Text;
-  char Buf[8192];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
   Expected<TrainCheckpoint> Ck =
-      parseCheckpoint(Text, Fingerprint, MachineName);
+      parseCheckpoint(*Text, Fingerprint, MachineName);
   if (!Ck)
     return Ck.error().withPrefix("checkpoint '" + Path + "'");
   return Ck;

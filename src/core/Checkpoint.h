@@ -13,27 +13,29 @@
 /// stored: every recorded (seed, bestDS) pair incremented it exactly
 /// once, so it is rebuilt from the pairs on load.
 ///
-/// File format (`brainy-ckpt v1`), hardened like the model bundle and the
-/// measurement cache:
+/// File format: the `brainy-ckpt v1` envelope of support/Envelope.h
+/// (magic, payload size and CRC, file read, atomic save, `io` fault
+/// salts) with header fields
 ///
-///   brainy-ckpt v1
 ///   machine <name>
 ///   fingerprint <16 hex digits>
 ///   next <offset> stopped <0|1>
-///   payload <bytes> crc32 <8 hex digits>
+///
+/// and a payload of one section per model family:
+///
 ///   family <m> scanned <n> rejects <n> pairs <n> skips <n>
 ///   pair <seed> <dsKind>                     seed-ascending
 ///   skip <seed>                              seed-ascending
 ///   ...
 ///
-/// The fingerprint is FNV-1a-64 over everything a merge decision
-/// depends on: the measurement fingerprint (generator config + machine),
-/// the Phase I knobs (FirstSeed, TargetPerDs, WinnerMargin, EvalRetries,
-/// ExcludeSeeds), and the model set being trained. MaxSeeds is
-/// deliberately excluded: the ordered merge consumes seeds sequentially,
-/// so a checkpoint taken at any commit is valid for any seed
-/// budget — which is also what lets tests simulate a mid-run kill by
-/// capping MaxSeeds and resuming with the full budget.
+/// The fingerprint is a support/Envelope.h Fingerprint over everything a
+/// merge decision depends on: the measurement fingerprint (generator
+/// config + machine), the Phase I knobs (FirstSeed, TargetPerDs,
+/// WinnerMargin, EvalRetries, ExcludeSeeds), and the model set being
+/// trained. MaxSeeds is deliberately excluded: the ordered merge consumes
+/// seeds sequentially, so a checkpoint taken at any commit is valid for
+/// any seed budget — which is also what lets tests simulate a mid-run
+/// kill by capping MaxSeeds and resuming with the full budget.
 ///
 /// Any validation failure — bad magic/version/CRC, truncation, machine or
 /// fingerprint mismatch, malformed or out-of-order records — rejects the
@@ -64,7 +66,7 @@ struct TrainCheckpoint {
   std::array<PhaseOneResult, NumModelKinds> Results;
 };
 
-/// FNV-1a-64 over every knob a Phase I merge decision depends on (see
+/// Fingerprint over every knob a Phase I merge decision depends on (see
 /// file comment; MaxSeeds deliberately excluded). \p Models /
 /// \p CountUnmatchedSeeds identify the phaseOneImpl variant, so a
 /// phaseOneAll checkpoint cannot resume a single-family phaseOne run.
@@ -77,9 +79,8 @@ uint64_t checkpointFingerprint(const TrainOptions &Options,
 std::string checkpointToString(const TrainCheckpoint &Ck, uint64_t Fingerprint,
                                const std::string &MachineName);
 
-/// Atomically writes \p Ck to \p Path (temp file + rename, `io` fault
-/// salts shared with bundle/mcache persistence). A failed save costs
-/// resumability, never correctness — callers log and continue.
+/// Atomically writes \p Ck to \p Path (saveFileAtomic). A failed save
+/// costs resumability, never correctness — callers log and continue.
 Error saveCheckpoint(const std::string &Path, const TrainCheckpoint &Ck,
                      uint64_t Fingerprint, const std::string &MachineName);
 

@@ -6,93 +6,57 @@
 
 #include "core/MeasurementStore.h"
 
-#include "support/Crc32.h"
-#include "support/FaultInjector.h"
+#include "support/Envelope.h"
 
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
 namespace {
 
-constexpr const char *StoreMagic = "brainy-mcache";
-constexpr const char *StoreVersion = "v1";
-
-/// Same I/O-step salts as Brainy bundle persistence, so one
-/// `BRAINY_FAULT=io:...` spec exercises both stores' failure paths.
-constexpr uint64_t IoSaltRead = 0;
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
-
-/// FNV-1a-64 absorb.
-void fnv(uint64_t &H, const void *Data, size_t Size) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-}
-
-void fnvStr(uint64_t &H, const std::string &S) {
-  fnv(H, S.data(), S.size());
-  fnv(H, "|", 1);
-}
-
-void fnvInt(uint64_t &H, uint64_t V) {
-  char Buf[24];
-  int N = std::snprintf(Buf, sizeof(Buf), "%" PRIu64 "|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
-
-/// Doubles are hashed by their %a rendering: exact bit pattern, no
-/// locale/rounding ambiguity.
-void fnvDouble(uint64_t &H, double V) {
-  char Buf[40];
-  int N = std::snprintf(Buf, sizeof(Buf), "%a|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
+constexpr EnvelopeFormat StoreFormat{"brainy-mcache", "v1",
+                                     "measurement cache"};
 
 } // namespace
 
 uint64_t brainy::measurementFingerprint(const AppConfig &Gen,
                                         const MachineConfig &Machine) {
-  uint64_t H = 14695981039346656037ull; // FNV offset basis
-  fnvStr(H, "gen");
-  fnvInt(H, Gen.TotalInterfCalls);
-  fnvInt(H, Gen.DataElemSizes.size());
+  Fingerprint H;
+  H.str("gen");
+  H.num(Gen.TotalInterfCalls);
+  H.num(Gen.DataElemSizes.size());
   for (int64_t E : Gen.DataElemSizes)
-    fnvInt(H, static_cast<uint64_t>(E));
-  fnvInt(H, static_cast<uint64_t>(Gen.MaxInsertVal));
-  fnvInt(H, static_cast<uint64_t>(Gen.MaxRemoveVal));
-  fnvInt(H, static_cast<uint64_t>(Gen.MaxSearchVal));
-  fnvInt(H, static_cast<uint64_t>(Gen.MaxIterCount));
-  fnvInt(H, Gen.MaxInitialSize);
-  fnvDouble(H, Gen.OrderObliviousProb);
-  fnvDouble(H, Gen.OpDropProb);
-  fnvDouble(H, Gen.FocusProb);
-  fnvStr(H, "machine");
-  fnvStr(H, Machine.Name);
+    H.num(static_cast<uint64_t>(E));
+  H.num(static_cast<uint64_t>(Gen.MaxInsertVal));
+  H.num(static_cast<uint64_t>(Gen.MaxRemoveVal));
+  H.num(static_cast<uint64_t>(Gen.MaxSearchVal));
+  H.num(static_cast<uint64_t>(Gen.MaxIterCount));
+  H.num(Gen.MaxInitialSize);
+  H.real(Gen.OrderObliviousProb);
+  H.real(Gen.OpDropProb);
+  H.real(Gen.FocusProb);
+  H.str("machine");
+  H.str(Machine.Name);
   for (const CacheGeometry &G : {Machine.L1, Machine.L2}) {
-    fnvInt(H, G.SizeBytes);
-    fnvInt(H, G.Associativity);
-    fnvInt(H, G.BlockBytes);
+    H.num(G.SizeBytes);
+    H.num(G.Associativity);
+    H.num(G.BlockBytes);
   }
-  fnvDouble(H, Machine.L1HitCycles);
-  fnvDouble(H, Machine.StreamHitCycles);
-  fnvDouble(H, Machine.L2HitCycles);
-  fnvDouble(H, Machine.MemoryCycles);
-  fnvDouble(H, Machine.MissExposure);
-  fnvInt(H, Machine.PrefetchDepth);
-  fnvDouble(H, Machine.MispredictPenalty);
-  fnvDouble(H, Machine.BaseCpi);
-  fnvDouble(H, Machine.AllocInstructions);
-  fnvDouble(H, Machine.FreeInstructions);
-  fnvDouble(H, Machine.ClockGhz);
-  return H;
+  H.real(Machine.L1HitCycles);
+  H.real(Machine.StreamHitCycles);
+  H.real(Machine.L2HitCycles);
+  H.real(Machine.MemoryCycles);
+  H.real(Machine.MissExposure);
+  H.num(Machine.PrefetchDepth);
+  H.real(Machine.MispredictPenalty);
+  H.real(Machine.BaseCpi);
+  H.real(Machine.AllocInstructions);
+  H.real(Machine.FreeInstructions);
+  H.real(Machine.ClockGhz);
+  return H.digest();
 }
 
 std::string brainy::measurementsToString(const MeasurementCache &Cache,
@@ -113,18 +77,12 @@ std::string brainy::measurementsToString(const MeasurementCache &Cache,
     Payload += '\n';
   }
 
-  std::string Out = std::string(StoreMagic) + " " + StoreVersion + "\n";
-  Out += "machine " + Machine.Name + "\n";
-  std::snprintf(Buf, sizeof(Buf), "fingerprint %016" PRIx64 "\n",
-                measurementFingerprint(Gen, Machine));
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "records %zu\n", Records.size());
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+  uint64_t Fp = measurementFingerprint(Gen, Machine);
+  return writeEnvelope(StoreFormat,
+                       {{"machine", Machine.Name},
+                        {"fingerprint", Fingerprint::hex(Fp)},
+                        {"records", std::to_string(Records.size())}},
+                       Payload);
 }
 
 Error brainy::saveMeasurements(const std::string &Path,
@@ -132,34 +90,9 @@ Error brainy::saveMeasurements(const std::string &Path,
                                const AppConfig &Gen,
                                const MachineConfig &Machine,
                                size_t *SavedOut) {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Text = measurementsToString(Cache, Gen, Machine);
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
+  if (Error E =
+          saveFileAtomic(Path, measurementsToString(Cache, Gen, Machine)))
+    return E;
   if (SavedOut)
     *SavedOut = Cache.seeds();
   return Error::success();
@@ -169,92 +102,28 @@ Expected<size_t> brainy::parseMeasurements(const std::string &Text,
                                            MeasurementCache &Cache,
                                            const AppConfig &Gen,
                                            const MachineConfig &Machine) {
-  if (Text.empty())
-    return Error(ErrCode::Truncated, "empty measurement cache");
-
-  size_t Pos = 0;
-  auto TakeLine = [&Text, &Pos](std::string &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return true;
-  };
-
-  std::string Line;
-  TakeLine(Line);
-  size_t Space = Line.find(' ');
-  if (Line.substr(0, Space) != StoreMagic)
-    return Error(ErrCode::BadMagic, "not a brainy measurement cache");
-  std::string Version =
-      Space == std::string::npos ? "" : Line.substr(Space + 1);
-  if (Version != StoreVersion)
-    return Error(ErrCode::BadVersion, "measurement cache version '" +
-                                          Version + "', this build reads '" +
-                                          StoreVersion + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'machine'");
-  if (Line.rfind("machine ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'machine <name>'");
-  std::string FileMachine = Line.substr(8);
+  Expected<Envelope> Env =
+      readEnvelope(Text, StoreFormat, {"machine", "fingerprint", "records"});
+  if (!Env)
+    return Env.error();
+  const std::string &FileMachine = Env->Values[0];
   if (FileMachine != Machine.Name)
     return Error(ErrCode::MachineMismatch,
                  "measurements recorded on '" + FileMachine + "', want '" +
                      Machine.Name + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'fingerprint'");
   uint64_t FileFp = 0;
-  if (std::sscanf(Line.c_str(), "fingerprint %16" SCNx64, &FileFp) != 1)
+  if (std::sscanf(Env->Values[1].c_str(), "%16" SCNx64, &FileFp) != 1)
     return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
   uint64_t WantFp = measurementFingerprint(Gen, Machine);
-  if (FileFp != WantFp) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
-                  FileFp, WantFp);
-    return Error(ErrCode::TagMismatch, Buf);
-  }
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'records'");
+  if (FileFp != WantFp)
+    return Error(ErrCode::TagMismatch,
+                 "config fingerprint " + Fingerprint::hex(FileFp) +
+                     ", this run is " + Fingerprint::hex(WantFp));
   unsigned long long WantRecords = 0;
-  if (std::sscanf(Line.c_str(), "records %llu", &WantRecords) != 1)
+  if (std::sscanf(Env->Values[2].c_str(), "%llu", &WantRecords) != 1)
     return Error(ErrCode::BadFormat, "expected 'records <count>'");
 
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'payload'");
-  unsigned long long PayloadSize = 0;
-  uint32_t WantCrc = 0;
-  if (std::sscanf(Line.c_str(), "payload %llu crc32 %8" SCNx32,
-                  &PayloadSize, &WantCrc) != 2)
-    return Error(ErrCode::BadFormat, "expected 'payload <size> crc32 <hex>'");
-
-  size_t Remaining = Text.size() - Pos;
-  if (Remaining < PayloadSize)
-    return Error(ErrCode::Truncated,
-                 "payload is " + std::to_string(Remaining) +
-                     " bytes, header declares " +
-                     std::to_string(PayloadSize));
-  if (Remaining > PayloadSize)
-    return Error(ErrCode::BadFormat,
-                 std::to_string(Remaining - PayloadSize) +
-                     " trailing bytes after payload");
-
-  std::string Payload = Text.substr(Pos);
-  uint32_t GotCrc = crc32(Payload);
-  if (GotCrc != WantCrc) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "payload crc32 %08" PRIx32 ", header says %08" PRIx32,
-                  GotCrc, WantCrc);
-    return Error(ErrCode::BadChecksum, Buf);
-  }
-
+  const std::string &Payload = Env->Payload;
   // Validate every record before touching the cache, so a malformed line
   // cannot leave a half-restored cache behind.
   std::vector<CycleRecord> Records;
@@ -314,22 +183,10 @@ Expected<size_t> brainy::loadMeasurements(const std::string &Path,
                                           MeasurementCache &Cache,
                                           const AppConfig &Gen,
                                           const MachineConfig &Machine) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), IoSaltRead))
-    return Error(ErrCode::FaultInjected, "reading '" + Path + "'");
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Path + "': " + std::strerror(errno));
-  std::string Text;
-  char Buf[8192];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-
-  Expected<size_t> Count = parseMeasurements(Text, Cache, Gen, Machine);
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  Expected<size_t> Count = parseMeasurements(*Text, Cache, Gen, Machine);
   if (!Count)
     return Count.error().withPrefix("measurement cache '" + Path + "'");
   return Count;

@@ -12,26 +12,25 @@
 /// --jobs/--workers variants, and CI reruns then skip Phase I simulation
 /// entirely and still produce byte-identical bundles.
 ///
-/// File format (`brainy-mcache v1`), hardened like the model bundle:
+/// File format: the `brainy-mcache v1` envelope of support/Envelope.h
+/// (magic, payload size and CRC, file read, atomic save, `io` fault
+/// salts) with header fields
 ///
-///   brainy-mcache v1
 ///   machine <name>
 ///   fingerprint <16 hex digits>
 ///   records <count>
-///   payload <bytes> crc32 <8 hex digits>
-///   <seed> <mask> <cycles...>          one line per record, seed-sorted
 ///
-/// The fingerprint is FNV-1a-64 over every MachineConfig and AppConfig
-/// parameter that a measurement depends on, doubles rendered as %a hex
-/// floats so the hash sees exact bit patterns. A mismatch (changed
-/// generator knobs, edited machine preset) invalidates the whole file —
-/// stale measurements must never leak into a differently-configured run.
-/// Cycle values are %a hex floats too: save/load round-trips bit-exactly,
-/// which the warm-run byte-identical-bundle guarantee rests on.
+/// and one payload line per record, seed-sorted:
 ///
-/// Load and save probe the `io` fault-injection site with the same
-/// read/write/rename salts as Brainy bundle persistence, and save commits
-/// via temp file + rename so a crashed save never leaves a torn cache.
+///   <seed> <mask> <cycles...>
+///
+/// The fingerprint is a support/Envelope.h Fingerprint over every
+/// MachineConfig and AppConfig parameter that a measurement depends on. A
+/// mismatch (changed generator knobs, edited machine preset) invalidates
+/// the whole file — stale measurements must never leak into a
+/// differently-configured run. Cycle values are %a hex floats: save/load
+/// round-trips bit-exactly, which the warm-run byte-identical-bundle
+/// guarantee rests on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +46,9 @@
 
 namespace brainy {
 
-/// FNV-1a-64 over the measurement-relevant parameters of \p Gen and
-/// \p Machine (all generator knobs, all machine-model knobs; doubles
-/// hashed as %a text). Two configurations with equal fingerprints produce
+/// Fingerprint over the measurement-relevant parameters of \p Gen and
+/// \p Machine (all generator knobs, all machine-model knobs). Two
+/// configurations with equal fingerprints produce
 /// identical measurements for every (seed, kind).
 uint64_t measurementFingerprint(const AppConfig &Gen,
                                 const MachineConfig &Machine);

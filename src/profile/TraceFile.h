@@ -32,7 +32,8 @@ struct TrainExample {
   uint64_t Seed = 0;
 };
 
-/// Serialises \p Examples to \p Path. Returns false on I/O failure.
+/// Atomically writes \p Examples to \p Path (support/Envelope.h's
+/// saveFileAtomic). Returns false on I/O failure.
 bool writeTrainingSet(const std::string &Path,
                       const std::vector<TrainExample> &Examples);
 

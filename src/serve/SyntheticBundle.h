@@ -10,9 +10,9 @@
 /// that always predicts one chosen candidate (zero hidden weights, a
 /// large bias on the winning output), so a test can tell *which* bundle
 /// answered a query purely from the answer — the observable a hot-swap
-/// atomicity test needs. The text goes through the same Brainy::parse /
-/// CRC validation as a trained bundle; nothing here bypasses the
-/// hardened loader.
+/// atomicity test needs. The header is written by Brainy::renderBundle and
+/// read back through the same Brainy::parse / CRC validation as a trained
+/// bundle; nothing here bypasses the hardened loader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +36,8 @@ std::string syntheticBundleText(const std::string &Machine,
                                 const std::string &Tag, unsigned WinnerIndex,
                                 unsigned HiddenUnits = 2);
 
-/// Writes syntheticBundleText to \p Path (plain write; tests that need
-/// the atomic rename go through Brainy::save on a parsed copy).
+/// Atomically writes syntheticBundleText to \p Path (support/Envelope.h's
+/// saveFileAtomic, like every bundle save).
 Error writeSyntheticBundle(const std::string &Path,
                            const std::string &Machine,
                            const std::string &Tag, unsigned WinnerIndex,

@@ -244,9 +244,10 @@ TEST(BrainyBundleTest, TrainSaveLoadRecommend) {
   EXPECT_EQ(B.machineName(), "core2");
 
   std::string Path = ::testing::TempDir() + "/brainy_bundle_test.txt";
-  ASSERT_TRUE(B.saveFile(Path));
-  Brainy Loaded;
-  ASSERT_TRUE(Brainy::loadFile(Path, Loaded));
+  ASSERT_FALSE(B.save(Path));
+  Expected<Brainy> Reloaded = Brainy::load(Path);
+  ASSERT_TRUE(static_cast<bool>(Reloaded));
+  const Brainy &Loaded = *Reloaded;
   EXPECT_EQ(Loaded.machineName(), "core2");
 
   // Same predictions after the round trip.

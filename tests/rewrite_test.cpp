@@ -13,6 +13,7 @@
 #include "analysis/Patcher.h"
 #include "analysis/Rewrite.h"
 #include "analysis/RewriteRules.h"
+#include "support/Envelope.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>

@@ -6,6 +6,8 @@
 
 #include "support/Config.h"
 #include "support/Env.h"
+#include "support/Envelope.h"
+#include "support/FaultInjector.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 
@@ -278,6 +281,109 @@ TEST(ConfigTest, SetOverrides) {
 TEST(ConfigTest, MissingFileIsError) {
   Config C = Config::fromFile("/nonexistent/brainy.conf");
   EXPECT_TRUE(C.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// Envelope: layout, file read, atomic save
+//===----------------------------------------------------------------------===//
+
+const EnvelopeFormat TestFormat{"brainy-test", "v3", "test file"};
+
+TEST(EnvelopeTest, RoundTripsHeaderAndPayload) {
+  std::string Text =
+      writeEnvelope(TestFormat, {{"machine", "core2"}, {"tag", ""}}, "ab\n");
+  EXPECT_EQ(Text, "brainy-test v3\nmachine core2\ntag \n"
+                  "payload 3 crc32 014a983e\nab\n");
+  Expected<Envelope> Env = readEnvelope(Text, TestFormat, {"machine", "tag"});
+  ASSERT_TRUE(static_cast<bool>(Env)) << Env.error().message();
+  EXPECT_EQ(Env->Values, (std::vector<std::string>{"core2", ""}));
+  EXPECT_EQ(Env->Payload, "ab\n");
+}
+
+TEST(EnvelopeTest, StructuralFaultsHaveNamedCodes) {
+  std::string Text = writeEnvelope(TestFormat, {{"machine", "m"}}, "xyz");
+  auto CodeOf = [](const std::string &T,
+                   const std::vector<const char *> &Keys) {
+    Expected<Envelope> Env = readEnvelope(T, TestFormat, Keys);
+    return Env ? ErrCode::Ok : Env.error().code();
+  };
+  EXPECT_EQ(CodeOf(Text, {"machine"}), ErrCode::Ok);
+  EXPECT_EQ(CodeOf("", {"machine"}), ErrCode::Truncated);
+  EXPECT_EQ(CodeOf("brainy-bundle v3\n", {}), ErrCode::BadMagic);
+  EXPECT_EQ(CodeOf("brainy-test v2\n", {}), ErrCode::BadVersion);
+  EXPECT_EQ(CodeOf("brainy-test v3\n", {"machine"}), ErrCode::Truncated);
+  EXPECT_EQ(CodeOf(Text, {"tag"}), ErrCode::BadFormat);
+  EXPECT_EQ(CodeOf(Text, {"machine", "tag"}), ErrCode::BadFormat);
+  EXPECT_EQ(CodeOf(Text.substr(0, Text.size() - 1), {"machine"}),
+            ErrCode::Truncated);
+  EXPECT_EQ(CodeOf(Text + "!", {"machine"}), ErrCode::BadFormat);
+  std::string Flipped = Text;
+  Flipped.back() ^= 0x01;
+  EXPECT_EQ(CodeOf(Flipped, {"machine"}), ErrCode::BadChecksum);
+}
+
+/// Arms the process-wide injector for one scope.
+struct FaultGuard {
+  explicit FaultGuard(const std::string &Spec) {
+    Error E = FaultInjector::instance().configure(Spec);
+    EXPECT_FALSE(E) << E.message();
+  }
+  ~FaultGuard() { FaultInjector::instance().clear(); }
+};
+
+bool fileExists(const std::string &Path) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (F)
+    std::fclose(F);
+  return F != nullptr;
+}
+
+TEST(EnvelopeTest, RenameFaultDiscardsTempAndKeepsPriorFile) {
+  std::string Path = ::testing::TempDir() + "brainy_envelope_rename.txt";
+  ASSERT_FALSE(saveFileAtomic(Path, "prior\n"));
+
+  // Pick the first seed whose write probe (salt 1) passes and whose
+  // rename probe (salt 2) fails for this path, so the save writes the
+  // temp file and then hits the simulated crash before the commit.
+  FaultInjector &FI = FaultInjector::instance();
+  uint64_t Key = FaultInjector::keyFor(Path);
+  std::string Spec;
+  for (unsigned Seed = 1; Seed != 1000 && Spec.empty(); ++Seed) {
+    std::string Candidate = "io:0.5:" + std::to_string(Seed);
+    ASSERT_FALSE(FI.configure(Candidate));
+    if (!FI.shouldFail(FaultSite::FileIo, Key, 1) &&
+        FI.shouldFail(FaultSite::FileIo, Key, 2))
+      Spec = Candidate;
+  }
+  FI.clear();
+  ASSERT_FALSE(Spec.empty()) << "no seed fails only the rename probe";
+
+  {
+    FaultGuard Guard(Spec);
+    Error E = saveFileAtomic(Path, "replacement\n");
+    EXPECT_EQ(E.code(), ErrCode::FaultInjected) << E.message();
+    EXPECT_NE(E.message().find("renaming"), std::string::npos)
+        << E.message();
+    EXPECT_EQ(FI.injectedCount(FaultSite::FileIo), 1u);
+  }
+  Expected<std::string> After = readFile(Path);
+  ASSERT_TRUE(static_cast<bool>(After)) << After.error().message();
+  EXPECT_EQ(*After, "prior\n");
+  EXPECT_FALSE(fileExists(Path + ".tmp")) << "temp file left behind";
+  std::remove(Path.c_str());
+}
+
+TEST(EnvelopeTest, ReadFileReportsReadErrors) {
+  // A directory opens for reading but every read fails (EISDIR): that is
+  // an I/O error, not an empty file.
+  Expected<std::string> Dir = readFile(::testing::TempDir());
+  ASSERT_FALSE(static_cast<bool>(Dir));
+  EXPECT_EQ(Dir.error().code(), ErrCode::IoError) << Dir.error().message();
+
+  Expected<std::string> Missing =
+      readFile(::testing::TempDir() + "brainy_envelope_missing.txt");
+  ASSERT_FALSE(static_cast<bool>(Missing));
+  EXPECT_EQ(Missing.error().code(), ErrCode::IoError);
 }
 
 //===----------------------------------------------------------------------===//

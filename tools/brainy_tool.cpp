@@ -51,6 +51,7 @@
 #include "serve/Pipeline.h"
 #include "serve/Server.h"
 #include "support/Env.h"
+#include "support/Envelope.h"
 #include "support/FaultInjector.h"
 #include "survey/Survey.h"
 
@@ -329,8 +330,8 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
                    (unsigned long long)FI.injectedCount(Site),
                    faultSiteName(Site));
   }
-  if (!B.saveFile(Out)) {
-    std::fprintf(stderr, "cannot write '%s'\n", Out.c_str());
+  if (Error E = B.save(Out)) {
+    std::fprintf(stderr, "cannot write models: %s\n", E.message().c_str());
     return 1;
   }
   std::fprintf(stderr, "saved models to %s\n", Out.c_str());
@@ -376,12 +377,13 @@ int cmdTrainset(const Args &A) {
 }
 
 int cmdEval(const Args &A) {
-  Brainy B;
-  if (!Brainy::loadFile(A.get("models"), B)) {
-    std::fprintf(stderr, "cannot load models '%s'\n",
-                 A.get("models").c_str());
+  Expected<Brainy> Loaded = Brainy::load(A.get("models"));
+  if (!Loaded) {
+    std::fprintf(stderr, "cannot load models: %s\n",
+                 Loaded.error().message().c_str());
     return 1;
   }
+  const Brainy &B = *Loaded;
   std::vector<TrainExample> Examples;
   if (!readTrainingSet(A.get("trainset"), Examples)) {
     std::fprintf(stderr, "cannot read training set '%s'\n",
@@ -539,7 +541,7 @@ int cmdApply(const Args &A) {
         continue;
       std::string OutPath =
           A.has("in-place") ? FR.Path : applySiblingPath(FR.Path);
-      Error E = analysis::saveFileAtomic(OutPath, FR.Patched);
+      Error E = saveFileAtomic(OutPath, FR.Patched);
       if (E) {
         std::fprintf(stderr, "apply: %s\n", E.message().c_str());
         Exit = 1;
