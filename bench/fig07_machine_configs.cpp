@@ -68,7 +68,7 @@ int main() {
         Lcg = Lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         Addr = (Lcg >> 16) % Span;
       }
-      M.onAccess(Addr, 8);
+      M.events().access(Addr, 8);
     }
     return M.cycles() / 65536;
   };

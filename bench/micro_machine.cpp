@@ -49,64 +49,33 @@ void BM_BranchPredictor(benchmark::State &State) {
 }
 BENCHMARK(BM_BranchPredictor);
 
-void BM_MachineModelAccess(benchmark::State &State) {
-  MachineModel M(MachineConfig::core2());
-  uint64_t Lcg = 1;
-  for (auto _ : State) {
-    Lcg = Lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    M.onAccess((Lcg >> 16) % (8 << 20), 8);
-  }
-  benchmark::DoNotOptimize(M.cycles());
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_MachineModelAccess);
-
 void BM_MachineModelBatch(benchmark::State &State) {
-  // The production delivery path since the event-stream refactor: the same
-  // address stream as BM_MachineModelAccess, but appended as encoded
-  // records and drained through the batch kernel (what containers wired to
-  // a MachineModel now do) instead of one virtual call per event.
+  // Random touches over 8 MB, appended as encoded records and drained
+  // through the batch kernel, the way instrumented containers deliver them.
   MachineModel M(MachineConfig::core2());
-  EventBuffer *Buf = M.eventBuffer();
+  EventBuffer &Buf = M.events();
   uint64_t Lcg = 1;
   for (auto _ : State) {
     Lcg = Lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    Buf->access((Lcg >> 16) % (8 << 20), 8);
+    Buf.access((Lcg >> 16) % (8 << 20), 8);
   }
-  M.flushEvents();
   benchmark::DoNotOptimize(M.cycles());
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_MachineModelBatch);
 
-void BM_MachineModelStream(benchmark::State &State) {
-  // Sequential 8-byte element reads over a 32 KB window — the dominant
-  // access pattern a contiguous-container scan emits, and the pattern the
-  // repeat-block fast path targets: 7 of 8 accesses re-touch the previous
-  // cache block.
-  MachineModel M(MachineConfig::core2());
-  uint64_t N = 0;
-  for (auto _ : State) {
-    M.onAccess(0x100000000ULL + (N % 4096) * 8, 8);
-    ++N;
-  }
-  benchmark::DoNotOptimize(M.cycles());
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_MachineModelStream);
-
 void BM_MachineModelStreamBatch(benchmark::State &State) {
-  // The same scan delivered the way containers deliver it since the
-  // event-stream refactor: encoded records drained through the batch
-  // kernel, where repeat-block runs coalesce to O(1) integer updates.
+  // Sequential 8-byte element reads over a 32 KB window — the dominant
+  // access pattern a contiguous-container scan emits: 7 of 8 accesses
+  // re-touch the previous cache block, so the drain coalesces those runs
+  // to O(1) integer updates.
   MachineModel M(MachineConfig::core2());
-  EventBuffer *Buf = M.eventBuffer();
+  EventBuffer &Buf = M.events();
   uint64_t N = 0;
   for (auto _ : State) {
-    Buf->access(0x100000000ULL + (N % 4096) * 8, 8);
+    Buf.access(0x100000000ULL + (N % 4096) * 8, 8);
     ++N;
   }
-  M.flushEvents();
   benchmark::DoNotOptimize(M.cycles());
   State.SetItemsProcessed(State.iterations());
 }

@@ -17,6 +17,8 @@ using namespace brainy;
 
 Container::~Container() = default;
 
+OpListener::~OpListener() = default;
+
 static uint64_t heapBaseFor(DsKind Kind) {
   // Give each implementation its own simulated heap region.
   return 0x100000000ULL +
@@ -30,8 +32,8 @@ namespace {
 template <typename Impl, DsKind KindValue>
 class ContainerAdapter final : public Container {
 public:
-  ContainerAdapter(uint32_t ElemBytes, EventSink *Sink)
-      : Inner(ElemBytes, Sink, heapBaseFor(KindValue)) {}
+  ContainerAdapter(uint32_t ElemBytes, MachineModel *Model)
+      : Inner(ElemBytes, Model, heapBaseFor(KindValue)) {}
 
   DsKind kind() const override { return KindValue; }
 
@@ -95,11 +97,7 @@ public:
 
   uint64_t size() const override { return Inner.size(); }
   void clear() override { Inner.clear(); }
-  void setSink(EventSink *Sink) override { Inner.setSink(Sink); }
-  EventSink *sink() const override { return Inner.sink(); }
-  void setOpListener(OpListener *Listener) override {
-    Inner.setOpListener(Listener);
-  }
+  void setOpListener(OpListener *Listener) override { Ops = Listener; }
   uint64_t simLiveBytes() const override { return Inner.simLiveBytes(); }
   uint64_t simPeakBytes() const override { return Inner.simPeakBytes(); }
   uint32_t elementBytes() const override { return Inner.elementBytes(); }
@@ -120,46 +118,47 @@ private:
   // Op recording costs one predictable branch when profiling is off; the
   // size() call only happens with a listener registered.
   void record(ContainerOp Op, const ds::OpResult &R) {
-    if (Inner.opListener())
-      Inner.recordOp(Op, R, Inner.size());
+    if (Ops)
+      Ops->onOp(Op, R.Found, R.Cost, Inner.size());
   }
 
   Impl Inner;
+  OpListener *Ops = nullptr;
 };
 
 } // namespace
 
 std::unique_ptr<Container> brainy::makeContainer(DsKind Kind,
                                                  uint32_t ElemBytes,
-                                                 EventSink *Sink) {
+                                                 MachineModel *Model) {
   switch (Kind) {
   case DsKind::Vector:
     return std::make_unique<ContainerAdapter<ds::Vector, DsKind::Vector>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::List:
     return std::make_unique<ContainerAdapter<ds::List, DsKind::List>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Deque:
     return std::make_unique<ContainerAdapter<ds::Deque, DsKind::Deque>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Set:
     return std::make_unique<ContainerAdapter<ds::RbTree, DsKind::Set>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::AvlSet:
     return std::make_unique<ContainerAdapter<ds::AvlTree, DsKind::AvlSet>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::HashSet:
     return std::make_unique<ContainerAdapter<ds::HashTable, DsKind::HashSet>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Map:
     return std::make_unique<ContainerAdapter<ds::RbTree, DsKind::Map>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::AvlMap:
     return std::make_unique<ContainerAdapter<ds::AvlTree, DsKind::AvlMap>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::HashMap:
     return std::make_unique<ContainerAdapter<ds::HashTable, DsKind::HashMap>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   }
   return nullptr;
 }

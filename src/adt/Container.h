@@ -12,6 +12,12 @@
 /// template ADT; we use a runtime interface so one binary can race all nine
 /// implementations.
 ///
+/// Instrumentation has two halves (paper Section 3). Hardware events go
+/// from the concrete container straight into the MachineModel's event
+/// buffer. The software-feature half is one ContainerOp summary per
+/// interface call, which the adapter hands directly to a registered
+/// OpListener as the call returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_ADT_CONTAINER_H
@@ -23,6 +29,32 @@
 #include <memory>
 
 namespace brainy {
+
+/// Identifies one container interface call for the software-feature
+/// profiler.
+enum class ContainerOp : uint8_t {
+  Insert,
+  InsertAt,
+  PushFront,
+  Erase,
+  EraseAt,
+  Find,
+  Iterate,
+  NumOps
+};
+
+/// Consumer of container interface-call summaries (the software-feature
+/// half of profiling).
+class OpListener {
+public:
+  virtual ~OpListener();
+
+  /// One interface call of kind \p Op that resolved with \p Found, cost
+  /// \p Cost abstract steps, and left the container at \p SizeAfter
+  /// elements.
+  virtual void onOp(ContainerOp Op, bool Found, uint64_t Cost,
+                    uint64_t SizeAfter) = 0;
+};
 
 /// Uniform interface over the nine container implementations.
 ///
@@ -60,16 +92,9 @@ public:
   virtual uint64_t size() const = 0;
   virtual void clear() = 0;
 
-  /// Redirects instrumentation events.
-  virtual void setSink(EventSink *Sink) = 0;
-
-  /// The sink currently receiving this container's events (may be null).
-  virtual EventSink *sink() const { return nullptr; }
-
   /// Registers \p Listener to receive one ContainerOp record per interface
-  /// call. Adapters stamp the record into the same event stream as the
-  /// hardware events, devirtualizing what ProfiledContainer used to do
-  /// with a forwarding wrapper. Default: ignore (no profiling).
+  /// call, delivered before the call returns. Null disables op recording.
+  /// Default: ignore (no profiling).
   virtual void setOpListener(OpListener *Listener) { (void)Listener; }
 
   /// Live simulated heap bytes (memory-bloat signal).
@@ -84,9 +109,10 @@ public:
 };
 
 /// Creates a container of \p Kind holding elements of \p ElemBytes
-/// simulated bytes, reporting events to \p Sink (may be null).
+/// simulated bytes, appending its events to \p Model's buffer (null =
+/// uninstrumented).
 std::unique_ptr<Container> makeContainer(DsKind Kind, uint32_t ElemBytes = 8,
-                                         EventSink *Sink = nullptr);
+                                         MachineModel *Model = nullptr);
 
 } // namespace brainy
 

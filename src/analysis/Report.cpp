@@ -128,13 +128,19 @@ brainy::analysis::renderJson(const std::vector<FileAnalysis> &Files) {
         OS << "          \"ops\": ["
            << joinMapped(V.Ops,
                          [](Op O) {
-                           return "\"" + std::string(opName(O)) + "\"";
+                           std::string S = "\"";
+                           S += opName(O);
+                           S += '"';
+                           return S;
                          })
            << "],\n";
         OS << "          \"requires\": ["
            << joinMapped(V.Required,
                          [](Property P) {
-                           return "\"" + std::string(propertyName(P)) + "\"";
+                           std::string S = "\"";
+                           S += propertyName(P);
+                           S += '"';
+                           return S;
                          })
            << "],\n";
         OS << "          \"verdicts\": {";

@@ -7,7 +7,7 @@
 #include "appgen/AppRunner.h"
 
 #include "adt/Container.h"
-#include "profile/SwAccumulator.h"
+#include "profile/ProfiledContainer.h"
 #include "support/Rng.h"
 
 #include <cmath>
@@ -177,28 +177,17 @@ RunOutcome brainy::runApp(const AppSpec &Spec, DsKind Kind,
 ProfiledOutcome brainy::runAppProfiled(const AppSpec &Spec, DsKind Kind,
                                        const MachineConfig &Machine,
                                        OpObserver *Observer) {
-  // No forwarding wrapper: the container stamps one Op record per
-  // interface call into the same event stream as its hardware events, and
-  // the accumulator receives them as the model drains batches. Profiling
-  // therefore adds one buffered append per op, not a second virtual hop.
   MachineModel Model(Machine);
-  std::unique_ptr<Container> C = makeContainer(Kind, Spec.ElemBytes, &Model);
-  SwAccumulator Accum;
-  Accum.Sw.ElementBytes = C->elementBytes();
-  C->setOpListener(&Accum);
-  Model.setOpListener(&Accum);
-  Driver D(Spec, *C, Observer);
+  ProfiledContainer C(makeContainer(Kind, Spec.ElemBytes, &Model));
+  Driver D(Spec, C, Observer);
   D.run();
 
   ProfiledOutcome Out;
-  Out.Run.Hw = Model.counters(); // Drains pending records into Accum too.
+  Out.Run.Hw = Model.counters();
   Out.Run.Cycles = Out.Run.Hw.Cycles;
-  Out.Run.FinalSize = C->size();
-  Out.Run.PeakSimBytes = C->simPeakBytes();
-  Accum.Sw.Resizes = C->resizeCount();
-  Accum.Sw.PeakSimBytes = C->simPeakBytes();
-  Accum.Sw.ElementBytes = C->elementBytes();
-  Out.Sw = Accum.Sw;
+  Out.Run.FinalSize = C.size();
+  Out.Run.PeakSimBytes = C.simPeakBytes();
+  Out.Sw = C.features();
   Out.Features =
       extractFeatures(Out.Sw, Out.Run.Hw, Machine.L1.BlockBytes);
   return Out;

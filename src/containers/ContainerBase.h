@@ -5,20 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common machinery for the instrumentable containers: the optional
-/// EventSink, a per-container SimAllocator heap region, and the simulated
-/// element size. The containers store real 64-bit keys and run the real
-/// algorithms; the *simulated* layout (what the cache model sees) treats
-/// each element as DataElemSize bytes, which is how the paper's generator
-/// varies element size (Table 2) without a template instantiation per size.
+/// Common machinery for the instrumentable containers: the event buffer of
+/// an optional MachineModel, a per-container SimAllocator heap region, and
+/// the simulated element size. The containers store real 64-bit keys and
+/// run the real algorithms; the *simulated* layout (what the cache model
+/// sees) treats each element as DataElemSize bytes, which is how the
+/// paper's generator varies element size (Table 2) without a template
+/// instantiation per size.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_CONTAINERS_CONTAINERBASE_H
 #define BRAINY_CONTAINERS_CONTAINERBASE_H
 
-#include "machine/EventBuffer.h"
-#include "machine/EventSink.h"
+#include "machine/MachineModel.h"
 #include "machine/SimAllocator.h"
 
 #include <cstdint>
@@ -42,41 +42,18 @@ struct OpResult {
 
 /// Base class holding instrumentation state shared by all containers.
 ///
-/// When the sink exposes an EventBuffer (MachineModel does), every emitter
-/// appends an encoded record instead of making a virtual call — the
-/// training inner loop's hot path. Sinks without a buffer keep the direct
-/// per-event virtual path.
+/// An instrumented container appends every hardware event as an encoded
+/// record to its model's EventBuffer; an uninstrumented one (null model)
+/// emits nothing. Interface-call summaries are not events: the adt adapter
+/// hands them to its OpListener.
 class ContainerBase {
 public:
   /// \p ElemBytes simulated bytes per stored element (>= 8).
+  /// \p Model receives the container's events (null = uninstrumented).
   /// \p HeapBase start of this container's simulated heap region.
-  ContainerBase(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-      : Elem(ElemBytes < 8 ? 8 : ElemBytes), Sink(Sink),
-        Buf(Sink ? Sink->eventBuffer() : nullptr), Alloc(HeapBase) {}
-
-  void setSink(EventSink *NewSink) {
-    Sink = NewSink;
-    Buf = Sink ? Sink->eventBuffer() : nullptr;
-  }
-  EventSink *sink() const { return Sink; }
-
-  /// Registers \p Listener to receive one ContainerOp record per interface
-  /// call (the software-feature profile). Null disables op recording.
-  void setOpListener(OpListener *Listener) { Profile = Listener; }
-  OpListener *opListener() const { return Profile; }
-
-  /// Emits the op record for one completed interface call. Routed through
-  /// the event stream when the sink is buffered (so op records stay
-  /// ordered against the hardware events they caused) and delivered
-  /// directly otherwise.
-  void recordOp(ContainerOp Op, const OpResult &R, uint64_t SizeAfter) {
-    if (!Profile)
-      return;
-    if (Buf)
-      Buf->op(Op, R.Found, R.Cost, SizeAfter);
-    else
-      Profile->onOp(Op, R.Found, R.Cost, SizeAfter);
-  }
+  ContainerBase(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+      : Elem(ElemBytes < 8 ? 8 : ElemBytes),
+        Buf(Model ? &Model->events() : nullptr), Alloc(HeapBase) {}
 
   uint32_t elementBytes() const { return Elem; }
 
@@ -88,30 +65,22 @@ protected:
   void note(uint64_t Addr, uint32_t Bytes) {
     if (Buf)
       Buf->access(Addr, Bytes);
-    else if (Sink)
-      Sink->onAccess(Addr, Bytes);
   }
 
   void branch(BranchSite Site, bool Taken) {
     if (Buf)
       Buf->branch(Site, Taken);
-    else if (Sink)
-      Sink->onBranch(Site, Taken);
   }
 
   void work(uint64_t Instructions) {
     if (Buf)
       Buf->instructions(Instructions);
-    else if (Sink)
-      Sink->onInstructions(Instructions);
   }
 
   uint64_t allocSim(uint64_t Bytes) {
     uint64_t Addr = Alloc.allocate(Bytes);
     if (Buf)
       Buf->alloc(Bytes);
-    else if (Sink)
-      Sink->onAlloc(Bytes);
     return Addr;
   }
 
@@ -119,14 +88,10 @@ protected:
     Alloc.release(Addr, Bytes);
     if (Buf)
       Buf->free(Bytes);
-    else if (Sink)
-      Sink->onFree(Bytes);
   }
 
   uint32_t Elem;
-  EventSink *Sink;
-  EventBuffer *Buf;          ///< Sink's buffer; null = direct virtual path.
-  OpListener *Profile = nullptr;
+  EventBuffer *Buf; ///< The model's buffer; null = uninstrumented.
   SimAllocator Alloc;
 };
 

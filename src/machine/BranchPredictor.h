@@ -17,13 +17,30 @@
 #ifndef BRAINY_MACHINE_BRANCHPREDICTOR_H
 #define BRAINY_MACHINE_BRANCHPREDICTOR_H
 
-#include "machine/EventSink.h"
-
 #include <array>
 #include <cassert>
 #include <cstdint>
 
 namespace brainy {
+
+/// Identifies a static conditional-branch site inside a container
+/// implementation. Sites are stable small integers so a bimodal predictor
+/// table can be indexed by them, mirroring per-PC prediction.
+enum class BranchSite : uint32_t {
+  VectorResizeCheck,   ///< capacity check on vector/deque insertion
+  VectorShiftLoop,     ///< element-move loop bound on mid insertion/erase
+  ListWalkLoop,        ///< node-walk loop continuation
+  TreeCompareLeft,     ///< BST descent: go left?
+  TreeRebalance,       ///< rotation-needed check (RB recolour / AVL rotate)
+  HashBucketWalk,      ///< chained-bucket walk continuation
+  HashResizeCheck,     ///< load-factor check on hash insertion
+  SearchHit,           ///< did the current element match the probe key?
+  IterContinue,        ///< generic iteration continuation
+  NumSites
+};
+
+/// Returns a short stable name for \p Site (for traces and tests).
+const char *branchSiteName(BranchSite Site);
 
 /// Bimodal 2-bit predictor with one counter per BranchSite.
 class BranchPredictor {

@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// MachineModel consumes container runtime events and produces the hardware
-/// features the paper collected with PAPI (cycles, L1/L2 misses, branch
-/// mispredictions) plus a deterministic cycle count used as "execution
-/// time". Two presets reproduce the paper's target systems (Figure 7):
-/// an Intel Core2 Q6600-like machine and an Intel Atom N270-like machine.
+/// MachineModel consumes container runtime events (memory touches, the
+/// data-dependent conditional branches the paper found predictive,
+/// straight-line instruction estimates and allocator traffic) and produces
+/// the hardware features the paper collected with PAPI (cycles, L1/L2
+/// misses, branch mispredictions) plus a deterministic cycle count used as
+/// "execution time". Two presets reproduce the paper's target systems
+/// (Figure 7): an Intel Core2 Q6600-like machine and an Intel Atom
+/// N270-like machine.
 ///
 /// The substitution rationale (see DESIGN.md): the paper's selection models
 /// key on L1 miss rate, branch misprediction rate, and the element-size /
@@ -25,7 +28,6 @@
 #include "machine/BranchPredictor.h"
 #include "machine/CacheSim.h"
 #include "machine/EventBuffer.h"
-#include "machine/EventSink.h"
 
 #include <string>
 
@@ -98,47 +100,52 @@ struct HardwareCounters {
   }
 };
 
-/// EventSink implementation that accumulates cycles and counters for one
-/// simulated microarchitecture.
+/// Accumulates cycles and counters for one simulated microarchitecture.
 ///
-/// The model owns an EventBuffer: containers wired to it append encoded
-/// records and onBatch replays them through the same inline step functions
-/// the per-event virtuals use, so batched and direct delivery are
-/// bit-identical by construction. Every accessor (counters/cycles/seconds)
-/// and every per-event virtual drains pending records first, preserving
-/// global event order even when direct calls and buffered appends mix.
-class MachineModel : public EventSink {
+/// The model owns an EventBuffer. Instrumented containers append encoded
+/// records to it, and onBatch replays them through the same inline step
+/// functions the per-event members use, so batched and unbatched delivery
+/// are bit-identical by construction. The per-event members are the
+/// unbatched reference that tests compare the coalesced drain against;
+/// production code appends to events(). Every accessor
+/// (counters/cycles/seconds) and every per-event member drains pending
+/// records first, preserving global event order when both are mixed.
+class MachineModel {
 public:
   explicit MachineModel(MachineConfig Config);
 
-  void onAccess(uint64_t Addr, uint32_t Bytes) override {
+  /// A data-memory touch of \p Bytes starting at simulated address \p Addr.
+  void onAccess(uint64_t Addr, uint32_t Bytes) {
     drainPending();
     stepAccess(Addr, Bytes);
   }
-  void onBranch(BranchSite Site, bool Taken) override {
+  /// A data-dependent conditional branch at \p Site resolving to \p Taken.
+  void onBranch(BranchSite Site, bool Taken) {
     drainPending();
     stepBranch(Site, Taken);
   }
-  void onInstructions(uint64_t Count) override {
+  /// \p Count instructions of straight-line work.
+  void onInstructions(uint64_t Count) {
     drainPending();
     stepInstructions(Count);
   }
-  void onAlloc(uint64_t Bytes) override {
+  /// A heap allocation of \p Bytes (allocator bookkeeping cost).
+  void onAlloc(uint64_t Bytes) {
     drainPending();
     stepAlloc(Bytes);
   }
-  void onFree(uint64_t Bytes) override {
+  /// A heap release of \p Bytes.
+  void onFree(uint64_t Bytes) {
     drainPending();
     stepFree(Bytes);
   }
 
   /// The batch-drain kernel: decodes \p Count encoded words and replays
-  /// them through the inline step functions, forwarding Op records to the
-  /// registered OpListener.
-  void onBatch(const uint64_t *Words, size_t Count) override;
+  /// them through the inline step functions.
+  void onBatch(const uint64_t *Words, size_t Count);
 
-  EventBuffer *eventBuffer() override { return &Events; }
-  void flushEvents() override { Events.flush(); }
+  /// The buffer producers append to; drained into this model.
+  EventBuffer &events() { return Events; }
 
   /// Snapshot of all counters since the last reset(). Drains pending
   /// buffered events first.
@@ -253,9 +260,8 @@ private:
   uint64_t LastL1Slot = InvalidSlot;
   uint32_t L1BlockShift;
   /// Mutable: const accessors drain it; logically the model's counters
-  /// already include pending records. Declared last so it is destroyed
-  /// first — but note containers flush through the sink they hold, so the
-  /// model must outlive its producers regardless.
+  /// already include pending records. Containers append through a pointer
+  /// to it, so the model must outlive its producers.
   mutable EventBuffer Events;
 };
 

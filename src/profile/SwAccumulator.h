@@ -5,28 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// OpListener that folds ContainerOp records into SoftwareFeatures — the
-/// devirtualized replacement for ProfiledContainer's per-call counting
-/// wrapper. Containers stamp one Op record per interface call into the
-/// event stream; this accumulator receives them (directly, or forwarded by
-/// the sink as it drains batches) and reproduces the exact accumulation
-/// the wrapper performed, including the per-call size sample.
+/// OpListener that folds ContainerOp records into SoftwareFeatures. The adt
+/// adapter delivers one record per interface call as the call returns;
+/// each record adds to its operation's count and cost and takes one
+/// size sample.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_PROFILE_SWACCUMULATOR_H
 #define BRAINY_PROFILE_SWACCUMULATOR_H
 
-#include "machine/EventSink.h"
+#include "adt/Container.h"
 #include "profile/Features.h"
 
 namespace brainy {
 
 /// Accumulates one SoftwareFeatures record from a stream of op records.
-/// The derived fields the old wrapper refreshed per call (Resizes,
-/// PeakSimBytes, ElementBytes) are not op-stream data; the owner refreshes
-/// them from the container at read time, which yields the same final
-/// values.
+/// The container-derived fields (Resizes, PeakSimBytes, ElementBytes) are
+/// not op data; the owner refreshes them from the container at read time.
 class SwAccumulator final : public OpListener {
 public:
   SoftwareFeatures Sw;

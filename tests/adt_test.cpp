@@ -6,10 +6,13 @@
 
 #include "adt/Container.h"
 #include "adt/DsKind.h"
+#include "machine/MachineModel.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 using namespace brainy;
 
@@ -215,4 +218,40 @@ TEST(ContainerTest, SimMemoryReflectsStructureOverheads) {
   EXPECT_GT(Live(DsKind::List), Live(DsKind::Vector));
   EXPECT_GT(Live(DsKind::Set), Live(DsKind::Vector));
   EXPECT_GT(Live(DsKind::HashSet), 256u * 16);
+}
+
+TEST(ContainerTest, OpRecordsReachTheListenerInCallOrder) {
+  // Op summaries are not events: each interface call's record reaches the
+  // listener as the call returns, while the hardware events it caused are
+  // still waiting in the model's buffer.
+  using Record = std::tuple<ContainerOp, bool, uint64_t, uint64_t>;
+  struct Recorder final : OpListener {
+    std::vector<Record> Ops;
+    void onOp(ContainerOp Op, bool Found, uint64_t Cost,
+              uint64_t SizeAfter) override {
+      Ops.emplace_back(Op, Found, Cost, SizeAfter);
+    }
+  };
+  for (DsKind Kind : AllKinds) {
+    MachineModel Model(MachineConfig::core2());
+    std::unique_ptr<Container> C = makeContainer(Kind, 8, &Model);
+    Recorder Rec;
+    C->setOpListener(&Rec);
+    std::vector<Record> Want;
+    auto Check = [&](ContainerOp Op, ds::OpResult R) {
+      Want.emplace_back(Op, R.Found, R.Cost, C->size());
+      EXPECT_EQ(Rec.Ops, Want) << dsKindName(Kind);
+    };
+    for (ds::Key K = 0; K != 20; ++K)
+      Check(ContainerOp::Insert, C->insert(K * 7));
+    Check(ContainerOp::InsertAt, C->insertAt(3, 1000));
+    Check(ContainerOp::PushFront, C->pushFront(-5));
+    Check(ContainerOp::Find, C->find(49));
+    Check(ContainerOp::Find, C->find(50));
+    Check(ContainerOp::Iterate, C->iterate(6));
+    Check(ContainerOp::Erase, C->erase(14));
+    Check(ContainerOp::Erase, C->erase(15));
+    Check(ContainerOp::EraseAt, C->eraseAt(2));
+    EXPECT_FALSE(Model.events().empty()) << dsKindName(Kind);
+  }
 }

@@ -12,8 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-#include <vector>
 
 using namespace brainy;
 
@@ -363,7 +361,7 @@ TEST(EventStreamTest, BatchedDeliveryIsBitIdenticalToDirectCalls) {
         [&](uint64_t B) { Direct.onAlloc(B); },
         [&](uint64_t B) { Direct.onFree(B); });
 
-    EventBuffer *Buf = Batched.eventBuffer();
+    EventBuffer *Buf = &Batched.events();
     ASSERT_NE(Buf, nullptr);
     playMixedStream(
         [&](uint64_t A, uint32_t B) { Buf->access(A, B); },
@@ -371,7 +369,7 @@ TEST(EventStreamTest, BatchedDeliveryIsBitIdenticalToDirectCalls) {
         [&](uint64_t N) { Buf->instructions(N); },
         [&](uint64_t B) { Buf->alloc(B); },
         [&](uint64_t B) { Buf->free(B); });
-    Batched.flushEvents();
+    Batched.events().flush();
 
     // Bit-identical, not approximately equal: the batch drain (including
     // the coalesced repeat-run path) must replay the exact arithmetic of
@@ -392,7 +390,7 @@ TEST(EventStreamTest, BatchedDeliveryIsBitIdenticalToDirectCalls) {
 }
 
 TEST(EventStreamTest, InterleavedDirectAndBufferedCallsStayOrdered) {
-  // A direct virtual call must observe everything buffered before it:
+  // A direct per-event call must observe everything buffered before it:
   // the per-event entry points drain the pending buffer first.
   MachineConfig Cfg = MachineConfig::core2();
   MachineModel Direct(Cfg), Mixed(Cfg);
@@ -400,7 +398,7 @@ TEST(EventStreamTest, InterleavedDirectAndBufferedCallsStayOrdered) {
     Direct.onAccess(0x1000 + (I % 16) * 64, 8);
     Direct.onBranch(BranchSite::SearchHit, I & 1);
   }
-  EventBuffer *Buf = Mixed.eventBuffer();
+  EventBuffer *Buf = &Mixed.events();
   for (int I = 0; I != 1000; ++I) {
     if (I % 3 == 0)
       Mixed.onAccess(0x1000 + (I % 16) * 64, 8);
@@ -409,34 +407,9 @@ TEST(EventStreamTest, InterleavedDirectAndBufferedCallsStayOrdered) {
     // Direct call with records pending: must drain, then step.
     Mixed.onBranch(BranchSite::SearchHit, I & 1);
   }
-  Mixed.flushEvents();
+  Mixed.events().flush();
   EXPECT_EQ(Direct.cycles(), Mixed.cycles());
   EXPECT_EQ(Direct.counters().BranchMispredicts, Mixed.counters().BranchMispredicts);
-}
-
-TEST(EventStreamTest, OpRecordsReachTheListenerInOrder) {
-  struct Recorder final : OpListener {
-    std::vector<std::tuple<ContainerOp, bool, uint64_t, uint64_t>> Ops;
-    void onOp(ContainerOp Op, bool Found, uint64_t Cost,
-              uint64_t SizeAfter) override {
-      Ops.emplace_back(Op, Found, Cost, SizeAfter);
-    }
-  };
-  Recorder Direct, Buffered;
-
-  MachineModel M(MachineConfig::core2());
-  M.setOpListener(&Buffered);
-  EventBuffer *Buf = M.eventBuffer();
-  for (uint64_t I = 0; I != 300; ++I) {
-    ContainerOp Op = static_cast<ContainerOp>(
-        I % static_cast<uint64_t>(ContainerOp::NumOps));
-    bool Found = (I % 3) == 0;
-    uint64_t Cost = I * 7 + 1;
-    Direct.onOp(Op, Found, Cost, I);
-    Buf->op(Op, Found, Cost, I);
-  }
-  M.flushEvents();
-  EXPECT_EQ(Direct.Ops, Buffered.Ops);
 }
 
 TEST(EventStreamTest, BufferAutoFlushesWhenFull) {
@@ -444,13 +417,13 @@ TEST(EventStreamTest, BufferAutoFlushesWhenFull) {
   // may be dropped or reordered across the flush boundary.
   MachineConfig Cfg = MachineConfig::core2();
   MachineModel Direct(Cfg), Batched(Cfg);
-  EventBuffer *Buf = Batched.eventBuffer();
+  EventBuffer *Buf = &Batched.events();
   const int N = 3 * static_cast<int>(EventBuffer::CapacityWords);
   for (int I = 0; I != N; ++I) {
     Direct.onAccess(0x8000 + (I % 512) * 64, 8);
     Buf->access(0x8000 + (I % 512) * 64, 8);
   }
-  Batched.flushEvents();
+  Batched.events().flush();
   EXPECT_EQ(Direct.cycles(), Batched.cycles());
   EXPECT_EQ(Direct.counters().L1Misses, Batched.counters().L1Misses);
 }

@@ -93,10 +93,12 @@ void expectSameRecords(const MeasurementCache &A, const MeasurementCache &B) {
   for (size_t I = 0; I != RA.size(); ++I) {
     EXPECT_EQ(RA[I].Seed, RB[I].Seed);
     EXPECT_EQ(RA[I].Mask, RB[I].Mask);
-    for (unsigned K = 0; K != NumDsKinds; ++K)
-      if (RA[I].Mask & (1u << K))
+    for (unsigned K = 0; K != NumDsKinds; ++K) {
+      if (RA[I].Mask & (1u << K)) {
         EXPECT_EQ(RA[I].Cycles[K], RB[I].Cycles[K])
             << "seed " << RA[I].Seed << " kind " << K;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 using namespace brainy;
 
@@ -91,6 +92,70 @@ TEST(ProfiledContainerTest, ResetFeaturesKeepsContents) {
   C.resetFeatures();
   EXPECT_EQ(C.features().InsertCount, 0u);
   EXPECT_EQ(C.size(), 1u);
+}
+
+TEST(ProfiledContainerTest, SameFeaturesWithAndWithoutMachineModel) {
+  // The software-feature half of profiling must not depend on whether the
+  // container also feeds a machine model, including mid-run reads and runs
+  // long enough to fill the model's event buffer many times over.
+  auto Drive = [](ProfiledContainer &C, std::vector<SoftwareFeatures> &Seen) {
+    for (ds::Key K = 0; K != 400; ++K) {
+      switch (K % 7) {
+      case 0:
+        C.insertAt(static_cast<uint64_t>(K) % (C.size() + 1), K);
+        break;
+      case 1:
+        C.pushFront(K);
+        break;
+      case 2:
+        C.find(K / 2);
+        break;
+      case 3:
+        C.erase(K - 3);
+        break;
+      case 4:
+        C.eraseAt(static_cast<uint64_t>(K) % (C.size() + 1));
+        break;
+      case 5:
+        C.iterate(1 + K % 9);
+        break;
+      default:
+        C.insert(K);
+        break;
+      }
+      if (K % 100 == 99)
+        Seen.push_back(C.features());
+    }
+  };
+  for (DsKind Kind : {DsKind::Vector, DsKind::List, DsKind::Set,
+                      DsKind::HashMap}) {
+    MachineModel Model(MachineConfig::atom());
+    ProfiledContainer Plain(makeContainer(Kind, 24));
+    ProfiledContainer Instrumented(makeContainer(Kind, 24, &Model));
+    std::vector<SoftwareFeatures> A, B;
+    Drive(Plain, A);
+    Drive(Instrumented, B);
+    EXPECT_GT(Model.counters().L1Accesses, EventBuffer::CapacityWords);
+    ASSERT_EQ(A.size(), B.size());
+    for (size_t I = 0; I != A.size(); ++I) {
+      EXPECT_EQ(A[I].totalCalls(), B[I].totalCalls()) << I;
+      EXPECT_EQ(A[I].InsertCost, B[I].InsertCost) << I;
+      EXPECT_EQ(A[I].EraseCost, B[I].EraseCost) << I;
+      EXPECT_EQ(A[I].FindCost, B[I].FindCost) << I;
+      EXPECT_EQ(A[I].IterateSteps, B[I].IterateSteps) << I;
+      EXPECT_EQ(A[I].FindHits, B[I].FindHits) << I;
+      EXPECT_EQ(A[I].EraseHits, B[I].EraseHits) << I;
+      EXPECT_EQ(A[I].SizeStats.count(), B[I].SizeStats.count()) << I;
+      EXPECT_EQ(A[I].SizeStats.mean(), B[I].SizeStats.mean()) << I;
+      EXPECT_EQ(A[I].SizeStats.variance(), B[I].SizeStats.variance()) << I;
+      EXPECT_EQ(A[I].Resizes, B[I].Resizes) << I;
+      EXPECT_EQ(A[I].PeakSimBytes, B[I].PeakSimBytes) << I;
+      // Every field together, through the feature vector the models read.
+      EXPECT_EQ(extractFeatures(A[I], HardwareCounters(), 64).Values,
+                extractFeatures(B[I], HardwareCounters(), 64).Values)
+          << dsKindName(Kind) << " sample " << I;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

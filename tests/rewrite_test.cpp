@@ -328,11 +328,18 @@ TEST(Apply, ApplyOnItsOwnOutputIsANoOp) {
 
 TEST(Apply, JsonReportIsByteIdenticalAcrossJobCounts) {
   std::vector<std::pair<std::string, std::string>> Sources;
-  for (int I = 0; I != 6; ++I)
-    Sources.emplace_back("f" + std::to_string(I) + ".cpp",
-                         "#include <map>\n"
-                         "std::map<int, int> M" + std::to_string(I) + ";\n"
-                         "void f() { M" + std::to_string(I) + "[1] = 2; }\n");
+  for (int I = 0; I != 6; ++I) {
+    std::string N = std::to_string(I);
+    std::string Name = "f";
+    Name += N;
+    Name += ".cpp";
+    std::string Text = "#include <map>\nstd::map<int, int> M";
+    Text += N;
+    Text += ";\nvoid f() { M";
+    Text += N;
+    Text += "[1] = 2; }\n";
+    Sources.emplace_back(Name, Text);
+  }
   std::string Serial = renderApplyJson(rewriteSources(Sources,
                                                       ApplyOptions(), 1));
   std::string Parallel = renderApplyJson(rewriteSources(Sources,

@@ -104,7 +104,7 @@ struct Args {
         continue;
       }
       if (In(KnownBool, Key)) {
-        A.Flags[Key] = "1";
+        A.Flags.insert_or_assign(Key, std::string("1"));
         continue;
       }
       if (!In(Known, Key)) {
